@@ -5,8 +5,8 @@
 //     the grid or the cores run out, and every thread count must produce
 //     byte-identical results;
 //   * engine sharding -- ONE simulation split across 1/2/4/8 shards of the
-//     conservative-sync engine (canonical event order), again bit-identical
-//     by construction, with the window-barrier overhead on display.
+//     conservative-sync engine, again bit-identical by construction, with
+//     the window-barrier overhead on display.
 //
 // Wall-clock numbers only mean something on a multi-core host; the bench
 // prints the hardware concurrency and leaves speedup *assertions* to CI
@@ -100,13 +100,12 @@ int main(int argc, char** argv) {
   std::fputs(sweep_table.to_string().c_str(), stdout);
 
   // --- Axis 2: engine shards ------------------------------------------------
-  // One larger simulation, canonical order (what sharding forces), split
-  // 1/2/4/8 ways.  Shard 1 *is* the sequential engine modulo the order.
+  // One larger simulation split 1/2/4/8 ways.  Shard 1 *is*
+  // Simulation::run.
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   SimConfig cfg;
   cfg.seed = opts.seed();
-  cfg.event_order = EventOrder::kCanonical;
   // Self-profiling on: the shard tables below decompose the wall time into
   // processing vs barrier wait.  The profiler is passive, so the identity
   // checks still hold -- they compare profile-scrubbed JSON (the profile
@@ -179,7 +178,6 @@ int main(int argc, char** argv) {
       std::make_unique<PartialMlidRouting>(big_fabric.params(), Lmc{2}));
   SimConfig big_cfg;
   big_cfg.seed = opts.seed();
-  big_cfg.event_order = EventOrder::kCanonical;
   big_cfg.profile = true;
   if (opts.quick()) {
     big_cfg.warmup_ns = 500;

@@ -235,12 +235,12 @@ CliOptions::CliOptions(int argc, char** argv) {
     }
   }
   if (shards_ > 1) {
-    // Per-event observability that needs a single global event order stays
-    // sequential-only: the sharded engine dispatches events concurrently
-    // across shard queues, so these flags would silently produce empty or
+    // Per-event observability that needs a single global event order needs
+    // a single shard: several shards dispatch events concurrently across
+    // their queues, so these flags would silently produce empty or
     // interleaved output.  Fail loudly instead.  The interval sampler
-    // (--sample-interval-ns) is fine: the sharded driver owns the timeline
-    // and reproduces the sequential one.  --flight-recorder is fine too:
+    // (--sample-interval-ns) is fine: the driver owns the timeline for any
+    // shard count.  --flight-recorder is fine too:
     // every device is owned by exactly one shard, so the per-device rings
     // record the same events; the dump is tagged with the owning shard.
     if (!chrome_trace_.empty()) {

@@ -109,10 +109,6 @@ ScenarioReport run_scenario(const Scenario& scenario,
       SimConfig cfg = job.run.sim;
       cfg.seed = sim_seed;
       if (options.profile) cfg.profile = true;
-      // Canonical event order for every arm, sharded or not: the sharded
-      // engine forces it anyway, so pinning it here makes scenario results
-      // (and therefore contract verdicts) invariant under --shards.
-      cfg.event_order = EventOrder::kCanonical;
       // Per-arm fabric + subnet: fault arms mutate the fabric via the SM.
       FatTreeFabric fabric(params);
       const Subnet subnet(fabric, job.run.scheme);
@@ -123,18 +119,11 @@ ScenarioReport run_scenario(const Scenario& scenario,
       std::uint64_t events_processed = 0;
       std::uint64_t events_scheduled = 0;
       if (job.run.closed_loop) {
-        if (options.shards > 1) {
-          ShardedSimulation sim =
-              ShardedSimulation::burst(subnet, cfg, job.run.workload, par);
-          job.point.burst = sim.run_to_completion();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        } else {
-          Simulation sim = Simulation::burst(subnet, cfg, job.run.workload);
-          job.point.burst = sim.run_to_completion();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        }
+        ShardedSimulation sim =
+            ShardedSimulation::burst(subnet, cfg, job.run.workload, par);
+        job.point.burst = sim.run_to_completion();
+        job.point.manifest.queue = sim.queue_stats();
+        hot_bytes = sim.memory_footprint();
         events_processed = job.point.burst.events_processed;
         events_scheduled = job.point.burst.events_scheduled;
       } else {
@@ -150,19 +139,11 @@ ScenarioReport run_scenario(const Scenario& scenario,
           sim_options.live_sm = &*sm;
           sim_options.faults = job.run.faults;
         }
-        if (options.shards > 1) {
-          ShardedSimulation sim = ShardedSimulation::open_loop(
-              subnet, cfg, traffic, job.run.offered_load, par, sim_options);
-          job.point.sim = sim.run();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        } else {
-          Simulation sim = Simulation::open_loop(
-              subnet, cfg, traffic, job.run.offered_load, sim_options);
-          job.point.sim = sim.run();
-          job.point.manifest.queue = sim.queue_stats();
-          hot_bytes = sim.memory_footprint();
-        }
+        ShardedSimulation sim = ShardedSimulation::open_loop(
+            subnet, cfg, traffic, job.run.offered_load, par, sim_options);
+        job.point.sim = sim.run();
+        job.point.manifest.queue = sim.queue_stats();
+        hot_bytes = sim.memory_footprint();
         events_processed = job.point.sim.events_processed;
         events_scheduled = job.point.sim.events_scheduled;
       }

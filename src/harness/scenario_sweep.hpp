@@ -46,7 +46,7 @@ struct ScenarioReport {
 /// plan against one fabric; the default is the paper's 4-port 3-tree).
 struct ScenarioSweepOptions {
   unsigned threads = 0;  ///< worker threads (0 = hardware concurrency)
-  unsigned shards = 1;   ///< engine shards per arm (1 = sequential engine)
+  unsigned shards = 1;   ///< engine shards per arm (results never change)
   bool quick = false;    ///< CI-sized windows and workloads
   int m = 4;
   int n = 3;
@@ -72,12 +72,11 @@ struct ScenarioSweepOptions {
 [[nodiscard]] std::uint64_t scenario_traffic_seed(std::uint64_t base,
                                                   std::string_view scenario);
 
-/// Run one scenario: plan its arms, execute them on a worker pool (sharded
-/// engine per arm when options.shards > 1; arms with a fault schedule get
-/// their own live SubnetManager), evaluate the contracts.  Every arm runs
-/// under the canonical event order regardless of the shard count, so
-/// scenario results -- and contract verdicts -- are byte-identical for any
-/// --shards value (pinned by tests/scenario/scenario_test.cpp).
+/// Run one scenario: plan its arms, execute them on a worker pool (one
+/// sharded engine per arm; arms with a fault schedule get their own live
+/// SubnetManager), evaluate the contracts.  Scenario results -- and contract
+/// verdicts -- are byte-identical for any --shards value (pinned by
+/// tests/scenario/scenario_test.cpp).
 ScenarioReport run_scenario(const Scenario& scenario,
                             const ScenarioSweepOptions& options = {});
 

@@ -161,25 +161,15 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
       traffic.seed = sweep_traffic_seed(spec.traffic.seed, job.point.vls,
                                         job.point.load);
       const auto start = std::chrono::steady_clock::now();
-      std::size_t hot_bytes = 0;
-      if (options.shards > 1) {
-        // Sharded engine per point.  With several sweep workers already in
-        // flight the shards drain inline (1 thread) to avoid oversubscribing
-        // the host; a single-worker sweep lets the engine pick its own pool.
-        ShardedSimulation sim = ShardedSimulation::open_loop(
-            *subnets[job.subnet_index], cfg, traffic, job.point.load,
-            {static_cast<std::uint32_t>(options.shards),
-             threads > 1 ? 1u : 0u});
-        job.point.result = sim.run();
-        job.point.manifest.queue = sim.queue_stats();
-        hot_bytes = sim.memory_footprint();
-      } else {
-        Simulation sim = Simulation::open_loop(*subnets[job.subnet_index],
-                                               cfg, traffic, job.point.load);
-        job.point.result = sim.run();
-        job.point.manifest.queue = sim.queue_stats();
-        hot_bytes = sim.memory_footprint();
-      }
+      // With several sweep workers already in flight the shards drain
+      // inline (1 thread) to avoid oversubscribing the host; a
+      // single-worker sweep lets the engine pick its own pool.
+      ShardedSimulation sim = ShardedSimulation::open_loop(
+          *subnets[job.subnet_index], cfg, traffic, job.point.load,
+          {static_cast<std::uint32_t>(options.shards), threads > 1 ? 1u : 0u});
+      job.point.result = sim.run();
+      job.point.manifest.queue = sim.queue_stats();
+      const std::size_t hot_bytes = sim.memory_footprint();
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)

@@ -41,18 +41,18 @@ struct PointManifest {
   double wall_seconds = 0.0;          ///< host time for this one simulation
   /// Events the engine actually dispatched; scheduled additionally counts
   /// work still queued at cutoff.  events_per_sec = processed / wall.
-  /// Under sharding (`shards > 1`) `processed` is the FLEET total -- every
-  /// shard queue plus the driver's control queue -- and `wall_seconds` is
-  /// the driver's wall time for the whole run, so events_per_sec keeps the
-  /// sequential definition (fleet-processed events over driver wall time)
-  /// and is directly comparable across shard counts (pinned by
+  /// `processed` is the FLEET total -- every shard queue plus the control
+  /// queue -- and `wall_seconds` is
+  /// the driver's wall time for the whole run, so events_per_sec is
+  /// fleet-processed events over driver wall time and directly comparable
+  /// across shard counts (pinned by
   /// tests/harness/sweep_test.cpp).
   std::uint64_t events_processed = 0;
   std::uint64_t events_scheduled = 0;
   double events_per_sec = 0.0;
   /// Actual parallelism that computed this point: resolved sweep worker
   /// count (never 0 -- the 0 in SweepOptions means "pick for me") and the
-  /// engine shard count (1 = the sequential engine ran this point).
+  /// engine shard count.
   std::uint32_t threads = 1;
   std::uint32_t shards = 1;
   /// Hot memory per physical port at this point: engine state
@@ -110,11 +110,9 @@ struct SweepPoint {
 /// changes nothing about the spec.
 struct SweepOptions {
   unsigned threads = 0;  ///< worker threads (0 = hardware concurrency)
-  /// Engine shards per point (parallel/sharded.hpp).  1 runs the sequential
-  /// engine; >1 routes every point through ShardedSimulation, which forces
-  /// the canonical event order -- results then match a sequential run with
-  /// SimConfig::event_order == EventOrder::kCanonical, not the kFifo
-  /// default.  Must be >= 1.
+  /// Engine shards per point (parallel/sharded.hpp).  Results are
+  /// byte-identical for any value; more shards only change wall-clock time.
+  /// Must be >= 1.
   unsigned shards = 1;
   /// CI-sized run: shrink the measurement window and load grid to the
   /// smoke values (warmup 5 us, measure 20 us, loads {0.10, 0.40, 0.80}).

@@ -33,7 +33,7 @@ struct Packet {
   /// Deterministic generation order: (src << 32 | per-source counter) for
   /// open-loop packets, global segment index for burst workloads.  Stable
   /// across shard counts (unlike the pool PacketId), so it serves as the
-  /// canonical event tie-break key (EventOrder::kCanonical).
+  /// event tie-break key (Event::corder).
   std::uint64_t corder = 0;
   /// Forward Explicit Congestion Notification (CCA): set by a congested
   /// switch, echoed back to the source by the destination HCA as a BECN.

@@ -7,10 +7,10 @@
 // time go": event processing vs conservative-sync barrier wait vs mailbox
 // drain vs sequential control-plane steps, per shard, plus window/lookahead
 // statistics, cross-shard handoff volume, event-queue op counters and shard
-// load-imbalance factors.  Sequential runs carry the same taxonomy with
-// degenerate barrier/mailbox/control terms, so downstream consumers (BENCH
-// manifests, the JSONL metrics stream, the Chrome-trace profiler track)
-// read one shape regardless of engine.
+// load-imbalance factors.  Every run goes through the same window loop
+// (sim/driver.hpp), so a one-shard run fills the same taxonomy and
+// downstream consumers (BENCH manifests, the JSONL metrics stream, the
+// Chrome-trace profiler track) read one shape for any shard count.
 //
 // Determinism contract (same as Timeline/flight recorder, sim/timeline.hpp):
 // the profiler reads host clocks and existing counters only.  It never
@@ -29,20 +29,20 @@
 
 namespace mlid {
 
-/// Wall-time phase breakdown for one shard of the fleet (or the single
-/// "shard" of a sequential run).  All durations are host nanoseconds.
+/// Wall-time phase breakdown for one shard of the fleet.  All durations are
+/// host nanoseconds.
 struct ShardPhaseProfile {
   /// Wall time spent draining this shard's event queue (dispatching model
-  /// events).  For sequential runs this is the whole run loop.
+  /// events) inside windows.
   std::uint64_t processing_ns = 0;
   /// Wall time this shard sat idle inside parallel windows while other
   /// shards were still draining: window wall time minus own processing,
-  /// summed over windows.  Zero for sequential runs.
+  /// summed over windows.  On one shard only the loop's own bookkeeping.
   std::uint64_t barrier_wait_ns = 0;
   /// Events this shard's queue dispatched over the whole run.
   std::uint64_t events_processed = 0;
   /// Cross-shard messages this shard emitted into its outbox (mailbox
-  /// handoffs).  Zero for sequential runs.
+  /// handoffs).  Zero on one shard.
   std::uint64_t handoffs_out = 0;
 
   friend bool operator==(const ShardPhaseProfile&,
@@ -57,10 +57,10 @@ struct ShardPhaseProfile {
 struct ProfileSummary {
   bool enabled = false;
 
-  std::uint32_t shards = 0;   ///< fleet size (1 for the sequential engine)
+  std::uint32_t shards = 0;   ///< fleet size
   std::uint32_t threads = 0;  ///< worker threads that drove the fleet
 
-  // --- conservative-sync window statistics (zero when sequential) ---------
+  // --- conservative-sync window statistics --------------------------------
   std::uint64_t windows = 0;        ///< parallel windows executed
   std::uint64_t control_steps = 0;  ///< zero-lookahead sequential steps
   std::uint64_t handoff_messages = 0;  ///< cross-shard mailbox messages

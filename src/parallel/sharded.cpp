@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <barrier>
-#include <chrono>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <tuple>
+#include <utility>
 
-#include "obs/stream.hpp"
+#include "sim/driver.hpp"
 
 namespace mlid {
 
@@ -20,46 +21,76 @@ namespace {
   return hw == 0 ? 1 : hw;
 }
 
-/// Host nanoseconds since `t0` (profiler clock; never simulation time).
-[[nodiscard]] std::uint64_t ns_since(
-    std::chrono::steady_clock::time_point t0) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-}
+/// Persistent worker pool with a two-barrier window protocol: the parent
+/// writes the window end and releases the start barrier, the workers run
+/// their share of the window, and the done barrier closes it and publishes
+/// everything back (both barriers give the necessary happens-before edges).
+/// A worker exception is parked and rethrown on the parent after the window.
+class WindowPool {
+ public:
+  /// `job(w, window_end)` runs worker w's share of one window.
+  WindowPool(std::uint32_t workers,
+             std::function<void(std::uint32_t, SimTime)> job)
+      : start_(workers + 1), done_(workers + 1), job_(std::move(job)) {
+    threads_.reserve(workers);
+    for (std::uint32_t w = 0; w < workers; ++w) {
+      threads_.emplace_back([this, w] { work(w); });
+    }
+  }
+  WindowPool(const WindowPool&) = delete;
+  WindowPool& operator=(const WindowPool&) = delete;
+  ~WindowPool() {
+    stop_.store(true, std::memory_order_relaxed);
+    start_.arrive_and_wait();  // releases the workers into their exit path
+  }
+
+  void run_window(SimTime window_end) {
+    window_end_ = window_end;
+    start_.arrive_and_wait();
+    done_.arrive_and_wait();
+    if (err_) std::rethrow_exception(std::exchange(err_, nullptr));
+  }
+
+ private:
+  void work(std::uint32_t w) {
+    while (true) {
+      start_.arrive_and_wait();
+      if (stop_.load(std::memory_order_relaxed)) return;
+      try {
+        job_(w, window_end_);
+      } catch (...) {
+        const std::scoped_lock lock(err_mu_);
+        if (!err_) err_ = std::current_exception();
+      }
+      done_.arrive_and_wait();
+    }
+  }
+
+  std::barrier<> start_;
+  std::barrier<> done_;
+  std::function<void(std::uint32_t, SimTime)> job_;
+  std::atomic<bool> stop_{false};
+  SimTime window_end_ = 0;
+  std::mutex err_mu_;
+  std::exception_ptr err_;
+  std::vector<std::jthread> threads_;  ///< last: joins before the rest dies
+};
 }  // namespace
 
 ShardedSimulation::ShardedSimulation(const Subnet& subnet,
                                      const SimConfig& config,
                                      const ShardOptions& par)
-    : subnet_(&subnet), cfg_(config) {
-  // Sharding requires the content-based tie-break; forcing it here (instead
-  // of rejecting kFifo) keeps the call sites identical to the sequential
-  // factories.  The parity oracle is a sequential kCanonical run.
-  cfg_.event_order = EventOrder::kCanonical;
-  plan_ = ShardPlan::subtree(subnet.fabric(), par.shards, cfg_);
+    : plan_(std::make_unique<const ShardPlan>(
+          ShardPlan::subtree(subnet.fabric(), par.shards, config))) {
   const std::uint32_t requested =
       par.threads == 0 ? hardware_threads() : par.threads;
-  threads_used_ = std::clamp<std::uint32_t>(requested, 1, plan_.num_shards);
-  outboxes_.resize(plan_.num_shards);
-  control_staged_.resize(plan_.num_shards);
-  bindings_.resize(plan_.num_shards);
-  for (std::uint32_t i = 0; i < plan_.num_shards; ++i) {
-    bindings_[i] =
-        ShardBinding{i,
-                     plan_.num_shards,
-                     &plan_.dev_shard,
-                     &plan_.node_shard,
-                     &outboxes_[i],
-                     &control_staged_[i]};
-  }
-  shards_.reserve(plan_.num_shards);
-  if (cfg_.profile) {
-    profile_.shard_phases.assign(plan_.num_shards, ShardPhaseProfile{});
-    win_shard_ns_.assign(plan_.num_shards, 0);
-    win_shard_events_.assign(plan_.num_shards, 0);
-  }
+  threads_used_ = std::clamp<std::uint32_t>(requested, 1, plan_->num_shards);
+  shards_.reserve(plan_->num_shards);
+}
+
+ShardBinding ShardedSimulation::binding(std::uint32_t shard) const noexcept {
+  return ShardBinding{shard, plan_->num_shards, &plan_->dev_shard,
+                      &plan_->node_shard};
 }
 
 ShardedSimulation ShardedSimulation::open_loop(const Subnet& subnet,
@@ -68,374 +99,69 @@ ShardedSimulation ShardedSimulation::open_loop(const Subnet& subnet,
                                                double offered_load,
                                                const ShardOptions& par,
                                                const OpenLoopOptions& options) {
-  ShardedSimulation driver(subnet, config, par);
-  driver.sm_ = options.live_sm;
-  if (options.live_sm == nullptr) {
-    MLID_EXPECT(options.faults.empty(),
-                "a fault schedule needs a live SM to react to it");
-  } else {
-    options.faults.validate();
+  ShardedSimulation sim(subnet, config, par);
+  for (std::uint32_t i = 0; i < sim.plan_->num_shards; ++i) {
+    sim.shards_.push_back(Simulation(subnet, config, traffic, offered_load,
+                                     options, sim.binding(i)));
   }
-  // The interval sampler is driver-owned: the shards are built with a
-  // zeroed interval and the driver paces the fleet-wide timeline itself.
-  // Self-profiling and the metrics stream are driver-owned the same way.
-  SimConfig shard_cfg = driver.cfg_;
-  shard_cfg.sample_interval_ns = 0;
-  shard_cfg.profile = false;
-  driver.stream_ = options.metrics;
-  if (driver.cfg_.sample_interval_ns > 0) {
-    driver.timeline_.configure(driver.cfg_.sample_interval_ns,
-                               driver.cfg_.timeline_max_samples);
-    driver.next_sample_ = driver.timeline_.interval_ns;
-  }
-  for (std::uint32_t i = 0; i < driver.plan_.num_shards; ++i) {
-    driver.shards_.push_back(Simulation::open_loop_shard(
-        subnet, shard_cfg, traffic, offered_load, driver.sm_,
-        driver.bindings_[i]));
-  }
-  // The faults seed the driver's control queue with the same encoding
-  // Simulation::attach_live_sm uses for its single queue.
-  for (const FaultEvent& f : options.faults.events()) {
-    if (f.fail) {
-      driver.control_.push(f.at, EventKind::kLinkFail, f.dev_a, f.port_a);
-    } else {
-      driver.control_.push(f.at, EventKind::kLinkRecover, f.dev_a, f.port_a,
-                           static_cast<VlId>(f.port_b),
-                           static_cast<PacketId>(f.dev_b));
-    }
-  }
-  driver.drain_mailboxes();  // nothing expected; keep construction airtight
-  return driver;
+  return sim;
 }
 
 ShardedSimulation ShardedSimulation::burst(
     const Subnet& subnet, const SimConfig& config,
     const std::vector<MessageSpec>& workload, const ShardOptions& par) {
-  ShardedSimulation driver(subnet, config, par);
-  driver.burst_ = true;
-  // Mirrors the sequential burst constructor's rejection: the shards are
-  // built with a zeroed interval, so the driver must enforce it here.
-  MLID_EXPECT(config.sample_interval_ns == 0,
-              "the interval sampler is open-loop only (burst runs have no "
-              "fixed end time to pace samples against)");
-  for (std::uint32_t i = 0; i < driver.plan_.num_shards; ++i) {
-    driver.shards_.push_back(
-        Simulation::burst_shard(subnet, driver.cfg_, workload,
-                                driver.bindings_[i]));
+  ShardedSimulation sim(subnet, config, par);
+  sim.burst_ = true;
+  for (std::uint32_t i = 0; i < sim.plan_->num_shards; ++i) {
+    sim.shards_.push_back(Simulation(subnet, config, workload, sim.binding(i)));
   }
-  // Priming the NICs inside the constructors can already cross shard
-  // boundaries (a leaf switch may live on a different shard than one of its
-  // nodes when the node blocks do not align with subtree edges).
-  driver.drain_mailboxes();
-  return driver;
+  return sim;
 }
 
-std::uint32_t ShardedSimulation::target_of(const ShardMessage& msg) const {
-  switch (msg.kind) {
-    case EventKind::kGenerate:
-    case EventKind::kBecnArrive:
-    case EventKind::kCctTimer:
-    case EventKind::kCcRelease:
-      return plan_.node_shard[msg.dev];
-    default:
-      return plan_.dev_shard[msg.dev];
-  }
-}
-
-void ShardedSimulation::drain_mailboxes() {
-  for (std::uint32_t i = 0; i < plan_.num_shards; ++i) {
-    if (profiling()) {
-      profile_.shard_phases[i].handoffs_out += outboxes_[i].size();
-      profile_.handoff_messages += outboxes_[i].size();
-    }
-    for (const ShardMessage& msg : outboxes_[i]) {
-      shards_[target_of(msg)].receive(msg);
-    }
-    outboxes_[i].clear();
-    for (const ShardMessage& msg : control_staged_[i]) {
-      control_.push(msg.time, msg.kind, msg.dev, msg.port, msg.vl, msg.pkt);
-    }
-    control_staged_[i].clear();
-  }
-}
-
-void ShardedSimulation::dispatch_control(const Event& e) {
-  MLID_EXPECT(sm_ != nullptr, "control events need a live SM");
-  switch (e.kind) {
-    case EventKind::kLinkFail: {
-      // Replicates Simulation::on_link_fail across shard boundaries: the
-      // peer must be read before the SM disconnects the fabric, and
-      // first_fault_ns must be visible on EVERY shard before the kills so
-      // each shard's drop taxonomy matches the sequential run.
-      const PortRef peer = subnet_->fabric().fabric().peer_of(e.dev, e.port);
-      if (!peer.valid()) break;  // duplicate schedule entry: already dead
-      for (Simulation& s : shards_) {
-        if (s.result_.first_fault_ns < 0) s.result_.first_fault_ns = e.time;
-      }
-      const auto traps = sm_->on_link_fail(e.dev, e.port, e.time);
-      shards_[plan_.dev_shard[e.dev]].kill_port(e.dev, e.port, e.time);
-      shards_[plan_.dev_shard[peer.device]].kill_port(peer.device, peer.port,
-                                                      e.time);
-      for (const auto& trap : traps) {
-        control_.push(trap.at, EventKind::kTrap, trap.reporter, trap.port);
-      }
-      break;
-    }
-    case EventKind::kLinkRecover: {
-      const auto dev_b = static_cast<DeviceId>(e.pkt);
-      const PortId port_b = e.vl;
-      const auto traps =
-          sm_->on_link_recover(e.dev, e.port, dev_b, port_b, e.time);
-      shards_[plan_.dev_shard[e.dev]].revive_port(e.dev, e.port);
-      shards_[plan_.dev_shard[dev_b]].revive_port(dev_b, port_b);
-      for (const auto& trap : traps) {
-        control_.push(trap.at, EventKind::kTrap, trap.reporter, trap.port);
-      }
-      break;
-    }
-    case EventKind::kTrap: {
-      const auto sweep_done = sm_->on_trap(e.dev, e.port, e.time);
-      if (sweep_done) {
-        control_.push(*sweep_done, EventKind::kSweepDone, e.dev);
-      }
-      break;
-    }
-    case EventKind::kSweepDone:
-      for (const auto& op : sm_->on_sweep_done(e.time)) {
-        control_.push(op.at, EventKind::kLftProgram, op.plan_index, 0, 0,
-                      op.epoch);
-      }
-      break;
-    case EventKind::kLftProgram:
-      sm_->apply_program(e.dev, e.pkt, e.time);
-      break;
-    default:
-      MLID_EXPECT(false, "data event in the driver's control queue");
-  }
-}
-
-void ShardedSimulation::step_at(SimTime t) {
-  // All shards have reached `t`; dispatch every event at exactly `t` one at
-  // a time in the canonical order, draining mailboxes after each so a
-  // kill_port's drops or an LFT program's effects land before the next
-  // pick -- the same interleaving the sequential queue produces.  The
-  // comparator's seq tie-break never decides across queues: each (kind,
-  // device) pair is owned by exactly one queue, so full content-key ties
-  // between queues cannot occur.
-  const detail::EventCompare earlier{EventOrder::kCanonical};
-  while (true) {
-    Simulation* best_shard = nullptr;
-    const Event* best = nullptr;
-    for (Simulation& s : shards_) {
-      const Event* e = s.events_.peek();
-      if (e == nullptr || e->time != t) continue;
-      if (best == nullptr || earlier(*e, *best)) {
-        best = e;
-        best_shard = &s;
-      }
-    }
-    if (const Event* c = control_.peek();
-        c != nullptr && c->time == t && (best == nullptr || earlier(*c, *best))) {
-      best = c;
-      best_shard = nullptr;
-    }
-    if (best == nullptr) return;
-    if (best_shard == nullptr) {
-      dispatch_control(control_.pop());
-    } else {
-      best_shard->dispatch(best_shard->events_.pop());
-    }
-    drain_mailboxes();
-  }
-}
-
-void ShardedSimulation::drain_shards(std::uint32_t first, std::uint32_t stride,
-                                     SimTime window_end) {
-  for (std::uint32_t i = first; i < shards_.size(); i += stride) {
-    Simulation& s = shards_[i];
-    if (profiling()) {
-      // Per-shard drain wall time: this shard is drained by exactly one
-      // worker per window, and the done barrier publishes the write before
-      // the parent reads it -- no synchronization beyond the window
-      // protocol is needed.
-      const auto t0 = std::chrono::steady_clock::now();
-      s.events_.drain_until(window_end,
-                            [&s](const Event& e) { s.dispatch(e); });
-      const std::uint64_t dt = ns_since(t0);
-      profile_.shard_phases[i].processing_ns += dt;
-      win_shard_ns_[i] = dt;
-    } else {
-      s.events_.drain_until(window_end,
-                            [&s](const Event& e) { s.dispatch(e); });
-    }
-  }
-}
-
-void ShardedSimulation::window_loop(
-    SimTime end, SimTime lookahead,
-    const std::function<void(SimTime)>& drain_all) {
-  while (true) {
-    SimTime horizon = kSimTimeNever;
-    for (Simulation& s : shards_) {
-      if (const Event* e = s.events_.peek()) {
-        horizon = std::min(horizon, e->time);
-      }
-    }
-    SimTime control_time = kSimTimeNever;
-    if (const Event* c = control_.peek()) control_time = c->time;
-    horizon = std::min(horizon, control_time);
-    if (sampling()) {
-      // Every event strictly before `horizon` has dispatched, so all sample
-      // times up to min(horizon, end) are due now -- before any event at
-      // `horizon` runs, which is exactly the sequential sampler's "sample
-      // at t covers the window ending at t" ordering.  The cadence is
-      // re-read after each append because decimation doubles it.
-      const SimTime sample_limit = std::min(horizon, end);
-      while (next_sample_ <= sample_limit) {
-        take_sample(next_sample_);
-        next_sample_ += timeline_.interval_ns;
-      }
-    }
-    if (stream_ != nullptr) {
-      // The metrics stream paces on the same terms as the sampler: every
-      // boundary up to min(horizon, end) is due before any event at
-      // `horizon` dispatches.
-      const SimTime stream_limit = std::min(horizon, end);
-      while (next_stream_ <= stream_limit) {
-        emit_stream_window(next_stream_, /*partial=*/false);
-        next_stream_ += stream_->interval_ns();
-      }
-    }
-    if (horizon >= end) return;  // drained, or only post-end events remain
-    const SimTime by_lookahead = lookahead >= kSimTimeNever - horizon
-                                     ? kSimTimeNever
-                                     : horizon + lookahead;
-    // A pending sample clips the window like a zero-lookahead control
-    // event: no event at or past next_sample_ may dispatch before it fires.
-    // A pending stream boundary clips identically; splitting a window is
-    // always a valid conservative-sync schedule, so the clip is
-    // result-neutral.
-    const SimTime sample_time = sampling() ? next_sample_ : kSimTimeNever;
-    const SimTime stream_time = stream_ != nullptr ? next_stream_ : kSimTimeNever;
-    const SimTime window_end =
-        std::min({by_lookahead, control_time, end, sample_time, stream_time});
-    if (window_end > horizon) {
-      // Every event in [horizon, window_end) is safe to dispatch without
-      // cross-shard coordination: anything a shard emits during the window
-      // lands at >= horizon + lookahead >= window_end.
-      if (!profiling()) {
-        drain_all(window_end);
-        drain_mailboxes();
-        continue;
-      }
-      for (std::uint32_t i = 0; i < plan_.num_shards; ++i) {
-        win_shard_ns_[i] = 0;
-        win_shard_events_[i] = shards_[i].events_.events_processed();
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      drain_all(window_end);
-      const std::uint64_t window_wall = ns_since(t0);
-      const auto t1 = std::chrono::steady_clock::now();
-      drain_mailboxes();
-      profile_.mailbox_ns += ns_since(t1);
-      ++profile_.windows;
-      window_width_.add(static_cast<double>(window_end - horizon));
-      // Barrier wait: the window's wall time minus the shard's own drain
-      // time.  Under one worker thread this degrades to "time spent while
-      // the other shards drained" -- the serialization cost -- which keeps
-      // the fraction comparable across thread counts.
-      std::uint64_t max_ev = 0;
-      std::uint64_t total_ev = 0;
-      for (std::uint32_t i = 0; i < plan_.num_shards; ++i) {
-        const std::uint64_t own = std::min(window_wall, win_shard_ns_[i]);
-        profile_.shard_phases[i].barrier_wait_ns += window_wall - own;
-        const std::uint64_t ev =
-            shards_[i].events_.events_processed() - win_shard_events_[i];
-        max_ev = std::max(max_ev, ev);
-        total_ev += ev;
-      }
-      if (total_ev > 0) {
-        const double mean_ev = static_cast<double>(total_ev) /
-                               static_cast<double>(plan_.num_shards);
-        imbalance_.add(static_cast<double>(max_ev) / mean_ev);
-      }
-    } else {
-      // A control event sits exactly at the horizon: no parallel progress
-      // is possible (control has zero lookahead), so run the timestep
-      // sequentially and re-open the next window after it.
-      if (!profiling()) {
-        step_at(horizon);
-        continue;
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      step_at(horizon);
-      profile_.control_ns += ns_since(t0);
-      ++profile_.control_steps;
-    }
-  }
-}
-
-void ShardedSimulation::drive(SimTime end) {
+template <typename Result, typename Run>
+Result ShardedSimulation::drive(Run run) {
+  MLID_EXPECT(!ran_, "a sharded simulation runs once");
+  ran_ = true;
   const SimTime lookahead =
-      plan_.num_shards > 1 ? plan_.lookahead_ns : kSimTimeNever;
-  if (threads_used_ <= 1) {
-    window_loop(end, lookahead,
-                [this](SimTime we) { drain_shards(0, 1, we); });
-    return;
-  }
-
-  // Persistent worker pool, two-barrier window protocol: the parent writes
-  // window_end, releases the start barrier, workers drain their shards, the
-  // done barrier closes the window and publishes everything back (both
-  // barriers give the necessary happens-before edges).  Worker exceptions
-  // are parked and rethrown on the parent after the window.
-  const std::uint32_t workers = threads_used_;
-  std::barrier start(workers + 1);
-  std::barrier done(workers + 1);
-  std::atomic<bool> stop{false};
-  SimTime window_end = 0;
-  std::mutex err_mu;
-  std::exception_ptr err;
-  std::vector<std::jthread> pool;
-  pool.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      while (true) {
-        start.arrive_and_wait();
-        if (stop.load(std::memory_order_relaxed)) return;
-        try {
-          drain_shards(w, workers, window_end);
-        } catch (...) {
-          const std::scoped_lock lock(err_mu);
-          if (!err) err = std::current_exception();
-        }
-        done.arrive_and_wait();
-      }
-    });
-  }
-  bool pool_running = true;
-  auto shutdown = [&] {
-    if (!pool_running) return;
-    pool_running = false;
-    stop.store(true, std::memory_order_relaxed);
-    start.arrive_and_wait();  // releases the workers into their exit path
+      plan_->num_shards > 1 ? plan_->lookahead_ns : kSimTimeNever;
+  Driver driver(shards_, lookahead, threads_used_);
+  const Driver::Merge merge = [this] {
+    merge_into_root();
+    replay_deliveries();
   };
-  try {
-    window_loop(end, lookahead, [&](SimTime we) {
-      window_end = we;
-      start.arrive_and_wait();
-      done.arrive_and_wait();
-      if (err) std::rethrow_exception(err);
-    });
-    shutdown();
-  } catch (...) {
-    shutdown();
-    throw;
-  }
+  if (threads_used_ <= 1) return run(driver, Driver::WindowDrain{}, merge);
+  // Worker w drains shards w, w + workers, ...: each shard is drained by
+  // exactly one worker per window.
+  const std::uint32_t workers = threads_used_;
+  const auto num_shards = static_cast<std::uint32_t>(shards_.size());
+  WindowPool pool(workers, [&driver, workers, num_shards](std::uint32_t w,
+                                                          SimTime we) {
+    for (std::uint32_t i = w; i < num_shards; i += workers) {
+      driver.drain_shard(i, we);
+    }
+  });
+  return run(driver, [&pool](SimTime we) { pool.run_window(we); }, merge);
+}
+
+SimResult ShardedSimulation::run() {
+  MLID_EXPECT(!burst_, "burst driver: use run_to_completion()");
+  return drive<SimResult>([](Driver& d, const Driver::WindowDrain& drain,
+                             const Driver::Merge& merge) {
+    return d.run(drain, merge);
+  });
+}
+
+BurstResult ShardedSimulation::run_to_completion() {
+  MLID_EXPECT(burst_, "run_to_completion needs the burst factory");
+  return drive<BurstResult>([](Driver& d, const Driver::WindowDrain& drain,
+                               const Driver::Merge& merge) {
+    return d.run_to_completion(drain, merge);
+  });
 }
 
 void ShardedSimulation::merge_into_root() {
-  Simulation& r = root();
+  Simulation& r = shards_.front();
+  const Fabric& g = r.subnet_->fabric().fabric();
   for (std::uint32_t i = 1; i < shards_.size(); ++i) {
     Simulation& s = shards_[i];
     SimResult& a = r.result_;
@@ -456,7 +182,6 @@ void ShardedSimulation::merge_into_root() {
     // layout (it is a pure function of the fabric), so the ranges line up.
     // PacketQueue heads/tails inside the copied slots reference the owner's
     // pool; finalization only reads queue *sizes*, never the links.
-    const Fabric& g = subnet_->fabric().fabric();
     const auto copy_range = [](auto& dst, const auto& src, std::size_t lo,
                                std::size_t hi) {
       std::copy(src.begin() + static_cast<std::ptrdiff_t>(lo),
@@ -464,7 +189,7 @@ void ShardedSimulation::merge_into_root() {
                 dst.begin() + static_cast<std::ptrdiff_t>(lo));
     };
     for (DeviceId dev = 0; dev < g.num_devices(); ++dev) {
-      if (plan_.dev_shard[dev] != i) continue;
+      if (plan_->dev_shard[dev] != i) continue;
       const std::size_t lo = r.port_base_[dev];
       const std::size_t hi = r.port_base_[dev + 1];
       copy_range(r.port_busy_until_, s.port_busy_until_, lo, hi);
@@ -484,7 +209,7 @@ void ShardedSimulation::merge_into_root() {
       copy_range(r.vl_cc_stall_since_, s.vl_cc_stall_since_, vlo, vhi);
       copy_range(r.vl_cold_, s.vl_cold_, vlo, vhi);
     }
-    if (cfg_.cc.enabled) {
+    if (r.cc_on()) {
       r.cc_fecn_marked_ += s.cc_fecn_marked_;
       r.cc_fecn_depth_marks_ += s.cc_fecn_depth_marks_;
       r.cc_fecn_stall_marks_ += s.cc_fecn_stall_marks_;
@@ -495,8 +220,8 @@ void ShardedSimulation::merge_into_root() {
       }
       // Per-HCA CC state is node-owner exclusive (BECNs, timers and gates
       // all dispatch on the source's shard).
-      for (NodeId node = 0; node < plan_.node_shard.size(); ++node) {
-        if (plan_.node_shard[node] != i) continue;
+      for (NodeId node = 0; node < plan_->node_shard.size(); ++node) {
+        if (plan_->node_shard[node] != i) continue;
         r.cc_nodes_[node] = std::move(s.cc_nodes_[node]);
         r.cct_[node] = std::move(s.cct_[node]);
       }
@@ -508,18 +233,18 @@ void ShardedSimulation::merge_into_root() {
 }
 
 void ShardedSimulation::replay_deliveries() {
-  Simulation& r = root();
   std::vector<Simulation::DeliveryRecord> all;
   std::size_t total = 0;
   for (const Simulation& s : shards_) total += s.deliveries_.size();
+  if (total == 0) return;
   all.reserve(total);
   for (Simulation& s : shards_) {
     all.insert(all.end(), s.deliveries_.begin(), s.deliveries_.end());
     s.deliveries_.clear();
   }
-  // Canonical dispatch order of kDeliver events: (time, dev, vl, corder).
+  // Dispatch order of kDeliver events: (time, dev, vl, corder).
   // Destination endnodes have a single port, and corder is unique per
-  // packet, so this reproduces the sequential accumulation sequence.
+  // packet, so this reproduces the one-shard accumulation sequence.
   std::sort(all.begin(), all.end(),
             [](const Simulation::DeliveryRecord& a,
                const Simulation::DeliveryRecord& b) {
@@ -527,187 +252,12 @@ void ShardedSimulation::replay_deliveries() {
                      std::tie(b.time, b.dev, b.vl, b.corder);
             });
   for (const Simulation::DeliveryRecord& rec : all) {
-    r.accumulate_delivery(rec);
+    shards_.front().accumulate_delivery(rec);
   }
-}
-
-void ShardedSimulation::take_sample(SimTime t) {
-  TimelineSample s;
-  s.t_ns = t;
-  s.intervals = static_cast<std::uint32_t>(timeline_.interval_ns /
-                                           timeline_.base_interval_ns);
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t becn = 0;
-  for (const Simulation& sh : shards_) {
-    generated += sh.result_.packets_generated;
-    delivered += sh.result_.packets_delivered;
-    dropped += sh.result_.packets_dropped;
-    becn += sh.cc_becn_sent_;
-  }
-  s.generated = generated - sampled_generated_;
-  s.delivered = delivered - sampled_delivered_;
-  s.dropped = dropped - sampled_dropped_;
-  s.becn = becn - sampled_becn_;
-  sampled_generated_ = generated;
-  sampled_delivered_ = delivered;
-  sampled_dropped_ = dropped;
-  sampled_becn_ = becn;
-  s.in_flight = generated - delivered - dropped;
-  // Gauge fields accumulate across shards: sums add up, maxima max-merge
-  // (each shard only scans its owned devices / HCAs).
-  for (const Simulation& sh : shards_) sh.collect_sample_gauges(s);
-  timeline_.append(s);
-}
-
-void ShardedSimulation::emit_stream_window(SimTime t, bool partial) {
-  MetricsWindow w;
-  w.t_ns = t;
-  w.window_ns = t - last_stream_;
-  w.partial = partial;
-  w.shards = plan_.num_shards;
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t becn = 0;
-  std::uint64_t processed = control_.events_processed();
-  for (const Simulation& sh : shards_) {
-    generated += sh.result_.packets_generated;
-    delivered += sh.result_.packets_delivered;
-    dropped += sh.result_.packets_dropped;
-    becn += sh.cc_becn_sent_;
-    processed += sh.events_.events_processed();
-  }
-  w.generated = generated - streamed_generated_;
-  w.delivered = delivered - streamed_delivered_;
-  w.dropped = dropped - streamed_dropped_;
-  w.becn = becn - streamed_becn_;
-  streamed_generated_ = generated;
-  streamed_delivered_ = delivered;
-  streamed_dropped_ = dropped;
-  streamed_becn_ = becn;
-  w.in_flight = generated - delivered - dropped;
-  w.events_processed = processed;
-  last_stream_ = t;
-  stream_->window(w);
-}
-
-SimResult ShardedSimulation::run() {
-  MLID_EXPECT(!burst_, "burst driver: use run_to_completion()");
-  MLID_EXPECT(!ran_, "a sharded simulation runs once");
-  ran_ = true;
-  const SimTime end = cfg_.end_time();
-  const auto run_start = std::chrono::steady_clock::now();
-  if (stream_ != nullptr) {
-    next_stream_ = stream_->interval_ns();
-    last_stream_ = 0;
-  }
-  drive(end);
-  drain_mailboxes();
-  // The final sub-interval window must go out before merge_into_root sums
-  // the non-root shards' counters into the root (the fleet loop in
-  // emit_stream_window would double-count them afterwards).
-  if (stream_ != nullptr && last_stream_ < end) {
-    emit_stream_window(end, /*partial=*/true);
-  }
-  merge_into_root();
-  replay_deliveries();
-  // Hand the driver-paced timeline to the root so finalize_open_loop
-  // exports it in SimResult exactly like the sequential engine does.
-  if (sampling()) root().timeline_ = timeline_;
-  std::uint64_t processed = control_.events_processed();
-  std::uint64_t scheduled = control_.events_scheduled();
-  for (const Simulation& s : shards_) {
-    processed += s.events_.events_processed();
-    scheduled += s.events_.events_scheduled();
-  }
-  if (profiling()) {
-    // Assemble the fleet profile and hand it to the root the same way the
-    // timeline travels; finalize_open_loop copies it into SimResult.
-    profile_.enabled = true;
-    profile_.shards = plan_.num_shards;
-    profile_.threads = threads_used_;
-    profile_.total_wall_ns = ns_since(run_start);
-    profile_.window_ns_min = static_cast<SimTime>(window_width_.min());
-    profile_.window_ns_max = static_cast<SimTime>(window_width_.max());
-    profile_.window_ns_mean = window_width_.mean();
-    profile_.max_imbalance = imbalance_.max();
-    profile_.mean_imbalance = imbalance_.mean();
-    profile_.processing_ns = 0;
-    profile_.barrier_wait_ns = 0;
-    for (std::uint32_t i = 0; i < plan_.num_shards; ++i) {
-      profile_.shard_phases[i].events_processed =
-          shards_[i].events_.events_processed();
-      profile_.processing_ns += profile_.shard_phases[i].processing_ns;
-      profile_.barrier_wait_ns += profile_.shard_phases[i].barrier_wait_ns;
-    }
-    const EventQueueStats qs = queue_stats();
-    profile_.queue_pushes = qs.events_scheduled;
-    profile_.queue_pops = qs.events_processed;
-    profile_.queue_overflow_pushes = qs.overflow_pushes;
-    profile_.queue_resizes = qs.resizes;
-    root().profile_ = profile_;
-  }
-  root().check_invariants();
-  const SimResult result = root().finalize_open_loop(processed, scheduled);
-  if (stream_ != nullptr) {
-    MetricsRunSummary summary;
-    summary.end_ns = end;
-    summary.shards = plan_.num_shards;
-    summary.threads = threads_used_;
-    summary.generated = result.packets_generated;
-    summary.delivered = result.packets_delivered;
-    summary.dropped = result.packets_dropped;
-    summary.events_processed = result.events_processed;
-    summary.profile = &result.profile;
-    stream_->run_summary(summary);
-  }
-  return result;
-}
-
-BurstResult ShardedSimulation::run_to_completion() {
-  MLID_EXPECT(burst_, "run_to_completion needs the burst factory");
-  MLID_EXPECT(!ran_, "a sharded simulation runs once");
-  ran_ = true;
-  drive(kSimTimeNever);
-  drain_mailboxes();
-  merge_into_root();
-  replay_deliveries();
-  Simulation& r = root();
-  MLID_EXPECT(r.result_.packets_delivered + r.result_.packets_dropped ==
-                  r.result_.packets_generated,
-              "burst did not fully drain");
-  std::uint64_t processed = control_.events_processed();
-  std::uint64_t scheduled = control_.events_scheduled();
-  for (const Simulation& s : shards_) {
-    processed += s.events_.events_processed();
-    scheduled += s.events_.events_scheduled();
-  }
-  r.check_invariants();
-  return r.finalize_burst(processed, scheduled);
 }
 
 EventQueueStats ShardedSimulation::queue_stats() const {
-  EventQueueStats sum;
-  sum.kind = cfg_.event_queue;
-  const EventQueueStats control = control_.stats();
-  sum.events_scheduled = control.events_scheduled;
-  sum.events_processed = control.events_processed;
-  for (const Simulation& s : shards_) {
-    const EventQueueStats q = s.events_.stats();
-    sum.events_scheduled += q.events_scheduled;
-    sum.events_processed += q.events_processed;
-    sum.buckets = std::max(sum.buckets, q.buckets);
-    sum.bucket_width_ns = std::max(sum.bucket_width_ns, q.bucket_width_ns);
-    sum.resizes += q.resizes;
-    sum.overflow_pushes += q.overflow_pushes;
-    sum.max_overflow_depth =
-        std::max(sum.max_overflow_depth, q.max_overflow_depth);
-    sum.max_bucket_events =
-        std::max(sum.max_bucket_events, q.max_bucket_events);
-  }
-  return sum;
+  return Driver::queue_stats(shards_);
 }
 
 std::size_t ShardedSimulation::memory_footprint() const noexcept {

@@ -1,56 +1,26 @@
-// Sharded conservative-sync simulation driver.
+// Sharded simulation: one run split across a partitioned fabric.
 //
 // Partitions the fabric into per-subtree shards (parallel/partition.hpp),
-// gives each shard its own event queue and engine state, and advances all
-// shards in lock-stepped windows bounded by the link lookahead: every event
-// that crosses a shard boundary takes at least `lookahead_ns` of simulated
-// time (the wire flying time; the BECN echo delay when CC is on), so events
-// strictly before `min(shard horizons) + lookahead` can be dispatched in
-// parallel without any shard observing the others mid-window.  Cross-shard
-// events travel as ShardMessage mailbox entries, drained into the owning
-// shard's queue at each window barrier.
+// gives each shard its own event queue and engine state, and hands the
+// shards to the one run loop (sim/driver.hpp), which advances them in
+// conservative-sync windows bounded by the link lookahead.  What sharding
+// adds on top of that loop lives here: the partition, a worker pool that
+// drains the shards of one window in parallel, and the end-of-run merge --
+// owned device / CC state folds into shard 0 and the shards' delivery logs
+// replay there in event order.
 //
-// Control-plane events (link faults, SM traps / sweeps / LFT programs) have
-// no lookahead -- a program takes effect the instant it lands -- so the
-// driver owns them in a separate queue and executes any timestep holding one
-// as a *sequential global step*: all shards pause at that instant and events
-// dispatch one at a time in the canonical order a sequential run would use.
+// Results are bit-identical for ANY shard count and ANY thread count,
+// including a single shard, which is exactly Simulation::run (asserted by
+// tests/parallel/shard_parity_test.cpp; sim/driver.hpp says why).
 //
-// Determinism: results are bit-identical to a sequential run with
-// SimConfig::event_order == EventOrder::kCanonical, for ANY shard count and
-// ANY thread count (asserted by tests/parallel/shard_parity_test.cpp).  Three
-// mechanisms carry the guarantee:
-//   * the canonical event order makes same-timestamp dispatch a pure
-//     function of event content, not of which queue scheduled it first;
-//   * Packet::corder (generation order) replaces pool ids as the tie-break
-//     key, because pool ids diverge across shard counts;
-//   * order-sensitive accumulators (Welford windows, histograms, message
-//     completion) are not fed during the run -- each shard logs
-//     DeliveryRecords and the driver replays the merged log in canonical
-//     order on shard 0 at the end, reproducing the sequential sequence
-//     exactly (including float rounding).
-//
-// Time-resolved telemetry: the interval sampler (SimConfig::sample_interval_ns)
-// is *driver-owned* in sharded runs.  Shards never pace their own timeline;
-// the driver treats each sample time like a zero-lookahead barrier (windows
-// are clipped at the next sample), sums fleet-wide counters for the deltas
-// and merges every shard's gauges into one TimelineSample -- so the sampled
-// timeline is bit-identical to the sequential engine's for any shard or
-// thread count.
-//
-// Engine self-profiling (SimConfig::profile) and the JSONL metrics stream
-// (OpenLoopOptions::metrics) are driver-owned on the same terms: a stream
-// boundary clips windows exactly like a sample time (any window partition
-// is a valid conservative-sync schedule), and the profiler reads host
-// clocks and existing counters only -- both are result-neutral for any
-// shard/thread count (tests/obs/profile_parity_test.cpp).
+// A ShardedSimulation is movable: the shards own their outboxes, and the
+// partition tables they read live on the heap.
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "parallel/partition.hpp"
 #include "sim/engine.hpp"
 
@@ -58,7 +28,7 @@ namespace mlid {
 
 /// Parallelism knobs of one sharded run.
 struct ShardOptions {
-  std::uint32_t shards = 1;   ///< fabric partitions (1 = sequential layout)
+  std::uint32_t shards = 1;   ///< fabric partitions (1 = one engine)
   /// Worker threads draining shard queues inside a window; 0 = one per
   /// shard, capped at the hardware concurrency.  Any value yields
   /// bit-identical results; threads only change wall-clock time.
@@ -85,14 +55,14 @@ class ShardedSimulation {
   BurstResult run_to_completion();
 
   [[nodiscard]] std::uint32_t num_shards() const noexcept {
-    return plan_.num_shards;
+    return plan_->num_shards;
   }
   /// Worker threads the window drains actually use (requested threads
   /// resolved against the shard count and hardware concurrency).
   [[nodiscard]] std::uint32_t threads_used() const noexcept {
     return threads_used_;
   }
-  [[nodiscard]] const ShardPlan& plan() const noexcept { return plan_; }
+  [[nodiscard]] const ShardPlan& plan() const noexcept { return *plan_; }
 
   /// Fleet-wide queue stats: events summed over every shard queue plus the
   /// control queue; ladder internals max-merged across shards.
@@ -105,102 +75,32 @@ class ShardedSimulation {
 
   /// First frozen per-shard flight dump (SimConfig::flight_recorder_depth).
   /// Devices are owner-exclusive, so every shard keeps its own host-side
-  /// rings and tags its dump cause with "[shard N]"; this returns the
-  /// lowest-numbered shard's dump, invalid when no shard froze one.
+  /// rings and, in a multi-shard run, tags its dump cause with "[shard N]";
+  /// this returns the lowest-numbered shard's dump, invalid when no shard
+  /// froze one.
   [[nodiscard]] const FlightRecorderDump& flight_dump() const noexcept;
 
  private:
   ShardedSimulation(const Subnet& subnet, const SimConfig& config,
                     const ShardOptions& par);
 
-  /// Routes a mailbox message to the shard that owns its event
-  /// (mirrors Simulation::target_shard).
-  [[nodiscard]] std::uint32_t target_of(const ShardMessage& msg) const;
-  /// Moves every outbox entry into its owner's queue and every staged
-  /// control event into the control queue (insertion order; the canonical
-  /// event order makes that order irrelevant to results).
-  void drain_mailboxes();
-  /// Dispatches one driver-owned control event (replicating the control
-  /// arms of Simulation::dispatch across shard boundaries).
-  void dispatch_control(const Event& e);
-  /// Sequential global timestep: dispatches every pending event at exactly
-  /// `t` -- across all shards and the control queue -- in canonical order.
-  void step_at(SimTime t);
-  /// Drains shards first, first+stride, ... up to `window_end` (exclusive).
-  void drain_shards(std::uint32_t first, std::uint32_t stride,
-                    SimTime window_end);
-  /// The conservative-sync loop: computes each window and runs it through
-  /// `drain_all(window_end)` (single- or multi-threaded).
-  void window_loop(SimTime end, SimTime lookahead,
-                   const std::function<void(SimTime)>& drain_all);
-  /// window_loop with the thread pool wrapped around it.
-  void drive(SimTime end);
+  [[nodiscard]] ShardBinding binding(std::uint32_t shard) const noexcept;
+  /// Runs the shards through the driver (`run` is Driver::run or
+  /// Driver::run_to_completion) with the worker pool around it.
+  template <typename Result, typename Run>
+  Result drive(Run run);
   /// Folds every non-root shard into shard 0: owned device / CC state moves
   /// over, integer counters sum, watermarks max-merge.
   void merge_into_root();
-  /// Sorts all shards' DeliveryRecords into canonical order and feeds them
+  /// Sorts all shards' DeliveryRecords into event order and feeds them
   /// through shard 0's accumulators.
   void replay_deliveries();
-  /// Driver-level TimelineSample at simulated time `t`: fleet-wide counter
-  /// deltas plus every shard's gauges (mirrors Simulation::take_sample).
-  void take_sample(SimTime t);
-  [[nodiscard]] bool sampling() const noexcept { return timeline_.enabled(); }
-  [[nodiscard]] bool profiling() const noexcept { return cfg_.profile; }
-  /// Driver-level JSONL "window" line at simulated time `t`: fleet-wide
-  /// counter deltas (mirrors take_sample; emitted before merge_into_root so
-  /// per-shard counters are not double-counted).
-  void emit_stream_window(SimTime t, bool partial);
-  [[nodiscard]] Simulation& root() { return shards_.front(); }
 
-  const Subnet* subnet_;
-  SimConfig cfg_;           ///< event_order forced to kCanonical
-  ShardPlan plan_;
-  SubnetManager* sm_ = nullptr;
+  std::unique_ptr<const ShardPlan> plan_;  ///< heap: shard bindings point in
   std::uint32_t threads_used_ = 1;
   bool burst_ = false;
   bool ran_ = false;
-
-  // Mailbox storage is allocated before the shards so the bindings' pointers
-  // stay valid from each shard's constructor on (the burst constructor can
-  // emit cross-shard head arrivals while priming NICs).
-  std::vector<std::vector<ShardMessage>> outboxes_;        ///< per shard
-  std::vector<std::vector<ShardMessage>> control_staged_;  ///< per shard
-  std::vector<ShardBinding> bindings_;
   std::vector<Simulation> shards_;
-  /// Driver-owned control plane (faults + SM pipeline).  Heap: a handful of
-  /// events, and the ladder's bucket machinery would be pure overhead.
-  EventQueue control_{EventQueueKind::kHeap, EventOrder::kCanonical};
-
-  // Driver-owned interval sampler (open-loop only; the shards' own configs
-  // carry sample_interval_ns == 0).
-  Timeline timeline_;
-  SimTime next_sample_ = 0;              ///< next pending sample time
-  std::uint64_t sampled_generated_ = 0;  ///< fleet counters at the last sample
-  std::uint64_t sampled_delivered_ = 0;
-  std::uint64_t sampled_dropped_ = 0;
-  std::uint64_t sampled_becn_ = 0;
-
-  // --- engine self-profiler (inert unless cfg_.profile; obs/profile.hpp).
-  // Per-shard wall time accumulates inside drain_shards (each shard is
-  // drained by exactly one worker per window and the done barrier publishes
-  // the writes, so the parent reads race-free between windows); barrier
-  // wait is window wall minus a shard's own drain time.  All host-clock
-  // reads are keyed off cfg_.profile and never touch window boundaries, so
-  // results are byte-identical with profiling on or off.
-  ProfileSummary profile_;
-  std::vector<std::uint64_t> win_shard_ns_;      ///< per-shard drain wall, this window
-  std::vector<std::uint64_t> win_shard_events_;  ///< per-shard processed, window start
-  OnlineStats window_width_;  ///< simulated-ns window widths
-  OnlineStats imbalance_;     ///< per-window max/mean events-per-shard factor
-
-  // --- metrics stream (driver-paced like the sampler; open-loop only) --------
-  MetricsStreamer* stream_ = nullptr;  ///< non-owning, from OpenLoopOptions
-  SimTime next_stream_ = 0;
-  SimTime last_stream_ = 0;
-  std::uint64_t streamed_generated_ = 0;  ///< fleet counters at the last line
-  std::uint64_t streamed_delivered_ = 0;
-  std::uint64_t streamed_dropped_ = 0;
-  std::uint64_t streamed_becn_ = 0;
 };
 
 }  // namespace mlid

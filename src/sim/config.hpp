@@ -134,15 +134,6 @@ struct SimConfig {
   /// perf comparisons.  The choice never alters results, only speed.
   EventQueueKind event_queue = EventQueueKind::kLadder;
 
-  /// Tie-break rule for simultaneous events.  kFifo (default) keeps the
-  /// historical insertion-order dispatch; kCanonical orders ties by content
-  /// key instead, making dispatch independent of which queue scheduled each
-  /// event.  Both are valid serializations of the same event set; results
-  /// can differ only in same-timestamp tie order.  The sharded engine
-  /// (parallel/sharded.hpp) forces kCanonical and is asserted bit-identical
-  /// to a sequential kCanonical run.
-  EventOrder event_order = EventOrder::kFifo;
-
   /// Congestion control (IBA CCA): FECN marking at switches, BECN echo from
   /// destinations, CCT-indexed injection throttling at sources.  Off by
   /// default; with cc.enabled == false every run is bit-identical to the

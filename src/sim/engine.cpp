@@ -1,14 +1,13 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <type_traits>
 
-#include "obs/stream.hpp"
+#include "sim/driver.hpp"
 
 namespace mlid {
 
@@ -24,34 +23,12 @@ Simulation Simulation::burst(const Subnet& subnet, const SimConfig& config,
   return Simulation(subnet, config, workload);
 }
 
-Simulation Simulation::open_loop_shard(const Subnet& subnet,
-                                       const SimConfig& config,
-                                       const TrafficConfig& traffic,
-                                       double offered_load, SubnetManager* sm,
-                                       const ShardBinding& binding) {
-  Simulation sim(subnet, config, traffic, offered_load, /*burst=*/false,
-                 &binding);
-  if (sm != nullptr) {
-    MLID_EXPECT(&sm->subnet() == &subnet,
-                "the SM must manage the subnet this simulation runs on");
-    // Live tables only: the driver owns the fault schedule and replicates
-    // control dispatch itself (attach_live_sm would queue events here).
-    sim.sm_ = sm;
-  }
-  return sim;
-}
-
-Simulation Simulation::burst_shard(const Subnet& subnet,
-                                   const SimConfig& config,
-                                   const std::vector<MessageSpec>& workload,
-                                   const ShardBinding& binding) {
-  return Simulation(subnet, config, workload, &binding);
-}
-
 Simulation::Simulation(const Subnet& subnet, SimConfig config,
                        TrafficConfig traffic, double offered_load,
-                       const OpenLoopOptions& options)
-    : Simulation(subnet, config, traffic, offered_load, /*burst=*/false) {
+                       const OpenLoopOptions& options,
+                       const ShardBinding& binding)
+    : Simulation(subnet, config, traffic, offered_load, /*burst=*/false,
+                 binding) {
   if (options.live_sm != nullptr) {
     attach_live_sm(*options.live_sm, options.faults);
   } else {
@@ -63,7 +40,7 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
 
 Simulation::Simulation(const Subnet& subnet, SimConfig config,
                        const std::vector<MessageSpec>& workload,
-                       const ShardBinding* binding)
+                       const ShardBinding& binding)
     : Simulation(subnet, config, TrafficConfig{}, /*offered_load=*/1.0,
                  /*burst=*/true, binding) {
   MLID_EXPECT(!workload.empty(), "burst workload is empty");
@@ -128,38 +105,29 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
 
 Simulation::Simulation(const Subnet& subnet, SimConfig config,
                        TrafficConfig traffic, double offered_load, bool burst,
-                       const ShardBinding* binding)
+                       const ShardBinding& binding)
     : subnet_(&subnet),
+      shard_(binding),
       cfg_(config),
       traffic_(traffic, subnet.fabric().params().num_nodes()),
       offered_load_(offered_load),
       gen_interval_ns_(static_cast<double>(config.packet_wire_ns()) /
                        offered_load),
-      events_(config.event_queue, config.event_order),
+      events_(config.event_queue),
       latency_hist_(0.0, 400'000.0, 4000),
       victim_hist_(0.0, 400'000.0, 4000),
       hot_hist_(0.0, 400'000.0, 4000) {
   cfg_.validate();
   burst_ = burst;
-  if (binding != nullptr) {
-    shard_ = *binding;
-    MLID_EXPECT(shard_.outbox != nullptr && shard_.control != nullptr &&
-                    shard_.dev_shard != nullptr && shard_.node_shard != nullptr,
+  if (sharded()) {
+    MLID_EXPECT(shard_.dev_shard != nullptr && shard_.node_shard != nullptr,
                 "incomplete shard binding");
-    MLID_EXPECT(cfg_.event_order == EventOrder::kCanonical,
-                "sharded runs require the canonical event order");
-    // The interval sampler is *driver-level* in sharded runs (the driver
-    // samples at window barriers and reads each shard's gauges); a shard
-    // must never pace its own timeline.
-    MLID_EXPECT(cfg_.sample_interval_ns == 0,
-                "shard configs must not carry a sample interval; the sharded "
-                "driver owns the timeline");
     // The flight recorder is allowed: devices are owner-exclusive, so each
     // shard keeps host-side rings for its own devices and freezes a dump
-    // tagged with its shard id (count_drop / check_invariants).
+    // tagged with its shard id (count_drop).
     MLID_EXPECT(cfg_.trace_packets == 0 && !cfg_.trace_control,
-                "per-event observability (packet traces, control trace) is "
-                "sequential-only; drop --shards to use it");
+                "per-event observability (packet traces, control trace) "
+                "needs a single shard; drop --shards to use it");
   }
   MLID_EXPECT(burst || (offered_load > 0.0 && offered_load <= 1.0),
               "offered load must be in (0, 1]");
@@ -304,14 +272,16 @@ void Simulation::attach_live_sm(SubnetManager& sm,
               "the SM must manage the subnet this simulation runs on");
   faults.validate();  // reject recover-before-fail / duplicate fails early
   sm_ = &sm;
+  if (shard_.shard_id != 0) return;  // the driver dispatches shard 0's plane
   for (const FaultEvent& f : faults.events()) {
     if (f.fail) {
-      schedule(f.at, EventKind::kLinkFail, f.dev_a, f.port_a);
+      control_.push(f.at, EventKind::kLinkFail, f.dev_a, f.port_a);
     } else {
       // kLinkRecover names both endpoints: the second one travels in the
       // otherwise unused pkt (device) and vl (port) payload fields.
-      schedule(f.at, EventKind::kLinkRecover, f.dev_a, f.port_a,
-               static_cast<VlId>(f.port_b), static_cast<PacketId>(f.dev_b));
+      control_.push(f.at, EventKind::kLinkRecover, f.dev_a, f.port_a,
+                    static_cast<VlId>(f.port_b),
+                    static_cast<PacketId>(f.dev_b));
     }
   }
 }
@@ -326,9 +296,9 @@ std::uint32_t Simulation::target_shard(EventKind kind,
     case EventKind::kCctTimer:
     case EventKind::kCcRelease:
       // Node-scoped: `dev` carries a NodeId.
-      return (*shard_.node_shard)[dev];
+      return sharded() ? (*shard_.node_shard)[dev] : 0;
     default:
-      return (*shard_.dev_shard)[dev];
+      return device_shard(dev);
   }
 }
 
@@ -350,39 +320,21 @@ std::uint64_t Simulation::corder_of(EventKind kind, PacketId pkt) const {
 
 void Simulation::schedule(SimTime time, EventKind kind, DeviceId dev,
                           PortId port, VlId vl, PacketId pkt) {
-  if (!sharded()) {
-    events_.push(time, kind, dev, port, vl, pkt, corder_of(kind, pkt));
-    return;
-  }
-  switch (kind) {
-    case EventKind::kLinkFail:
-    case EventKind::kLinkRecover:
-    case EventKind::kTrap:
-    case EventKind::kSweepDone:
-    case EventKind::kLftProgram:
-      // Control plane: the driver owns these (its control queue dispatches
-      // them in sequential global timesteps).
-      shard_.control->push_back(
-          ShardMessage{time, kind, dev, pkt, port, vl, 0, false, Packet{}});
-      return;
-    default:
-      break;
-  }
   const std::uint64_t corder = corder_of(kind, pkt);
-  if (target_shard(kind, dev) == shard_.shard_id) {
+  if (!sharded() || target_shard(kind, dev) == shard_.shard_id) {
     events_.push(time, kind, dev, port, vl, pkt, corder);
     return;
   }
   ShardMessage msg{time, kind, dev, pkt, port, vl, corder, false, Packet{}};
   if (kind == EventKind::kHeadArrive) {
     // Packet handoff: the receiving shard re-homes the copy in its own
-    // pool; our entry becomes a stale duplicate that dies at tail-out.
+    // pool; ours is done once its draining tails are out.
     msg.has_packet = true;
     msg.packet = pool_.get(pkt);
     msg.pkt = kInvalidPacket;
-    rt_[pkt].handed_off = true;
+    retire_packet(pkt);
   }
-  shard_.outbox->push_back(msg);
+  outbox_.push_back(msg);
 }
 
 void Simulation::receive(const ShardMessage& msg) {
@@ -407,7 +359,13 @@ PacketId Simulation::alloc_packet() {
   return id;
 }
 
-void Simulation::release_packet(PacketId pkt) { pool_.release(pkt); }
+void Simulation::retire_packet(PacketId pkt) {
+  if (rt_[pkt].wire_refs == 0) {
+    pool_.release(pkt);
+  } else {
+    rt_[pkt].retired = true;
+  }
+}
 
 VlId Simulation::assign_vl(NodeId src, NodeId dst) {
   const auto vls = static_cast<std::uint32_t>(cfg_.num_vls);
@@ -589,7 +547,7 @@ void Simulation::drop_in_switch(PacketId pkt, SimTime now) {
   trace_event(pkt, now, TracePoint::kDropped, rt.dev, rt.out_port,
               pool_.get(pkt).vl, DropReason::kDeadLink);
   count_drop(DropReason::kDeadLink, pkt, rt.dev, now);
-  release_packet(pkt);
+  retire_packet(pkt);
 }
 
 void Simulation::kill_port(DeviceId dev, PortId port, SimTime now) {
@@ -645,32 +603,6 @@ void Simulation::revive_port(DeviceId dev, PortId port) {
   port_connected_[fp] = 1;
   port_wrr_vl_[fp] = 0;
   port_wrr_budget_[fp] = cfg_.vl_weights.empty() ? 1 : cfg_.vl_weights.front();
-}
-
-void Simulation::on_link_fail(DeviceId dev, PortId port, SimTime now) {
-  MLID_ASSERT(sm_ != nullptr, "fault events need an attached SM");
-  const PortRef peer = subnet_->fabric().fabric().peer_of(dev, port);
-  if (!peer.valid()) return;  // duplicate schedule entry: already dead
-  if (result_.first_fault_ns < 0) result_.first_fault_ns = now;
-  // The SM disconnects the fabric (so LFT lookups see the dead port) and
-  // tells us when the endpoints' traps will reach it.
-  const auto traps = sm_->on_link_fail(dev, port, now);
-  kill_port(dev, port, now);
-  kill_port(peer.device, peer.port, now);
-  for (const auto& trap : traps) {
-    schedule(trap.at, EventKind::kTrap, trap.reporter, trap.port);
-  }
-}
-
-void Simulation::on_link_recover(DeviceId dev_a, PortId port_a,
-                                 DeviceId dev_b, PortId port_b, SimTime now) {
-  MLID_ASSERT(sm_ != nullptr, "fault events need an attached SM");
-  const auto traps = sm_->on_link_recover(dev_a, port_a, dev_b, port_b, now);
-  revive_port(dev_a, port_a);
-  revive_port(dev_b, port_b);
-  for (const auto& trap : traps) {
-    schedule(trap.at, EventKind::kTrap, trap.reporter, trap.port);
-  }
 }
 
 // --- link transmission ---------------------------------------------------------
@@ -761,6 +693,7 @@ void Simulation::try_tx(DeviceId dev, PortId port, SimTime now) {
   // tail-out (vl_free_slots_ is untouched here).
   const PacketId pkt = pool_.pop_front(vl_q_[vs]);
   vl_tx_pkt_[vs] = pkt;
+  ++rt_[pkt].wire_refs;
   --vl_credits_[vs];  // reserve the downstream input slot
   const SimTime wire = wire_ns(pkt);  // segments may be shorter than the MTU
   accumulate_utilization(fp, now, now + wire);
@@ -826,7 +759,7 @@ void Simulation::on_head_arrive(DeviceId dev, PortId port, VlId vl,
     trace_event(pkt, now, TracePoint::kDropped, dev, port, vl,
                 DropReason::kDeadLink);
     count_drop(DropReason::kDeadLink, pkt, dev, now);
-    release_packet(pkt);
+    retire_packet(pkt);
     return;
   }
   trace_event(pkt, now, TracePoint::kHeadArrive, dev, port, vl);
@@ -887,7 +820,7 @@ void Simulation::on_routed(DeviceId dev, PortId port, VlId vl, PacketId pkt,
                 DropReason::kUnroutable);
     count_drop(DropReason::kUnroutable, pkt, dev, now);
     return_credit_upstream(dev, port, vl, now);
-    release_packet(pkt);
+    retire_packet(pkt);
     return;
   }
   if (!device.port_connected(fwd)) {
@@ -898,7 +831,7 @@ void Simulation::on_routed(DeviceId dev, PortId port, VlId vl, PacketId pkt,
                 DropReason::kConvergence);
     count_drop(DropReason::kConvergence, pkt, dev, now);
     return_credit_upstream(dev, port, vl, now);
-    release_packet(pkt);
+    retire_packet(pkt);
     return;
   }
   const PortId out = pick_output(dev, device, vl, fwd);
@@ -977,12 +910,8 @@ void Simulation::on_tail_out(DeviceId dev, PortId port, VlId vl, PacketId pkt,
     grant_output(dev, port, vl, next, now);
   }
 
-  if (rt_[pkt].handed_off) {
-    // Shard mode: the head crossed a shard boundary at transmit time and the
-    // receiving shard owns the live copy now; ours dies with the tail.
-    rt_[pkt].handed_off = false;
-    release_packet(pkt);
-  }
+  PacketRt& rt = rt_[pkt];
+  if (--rt.wire_refs == 0 && rt.retired) pool_.release(pkt);
   // The packet's tail has left this device.  The matching upstream credit
   // was already scheduled at transmit time (see try_tx); the only
   // input-side resource handled here is the NIC's source queue.
@@ -1027,7 +956,7 @@ void Simulation::on_deliver(DeviceId dev, PortId port, VlId vl, PacketId pkt,
   // The destination endnode consumes at link rate: its input slot frees as
   // the tail lands, so the credit travels back immediately.
   return_credit_upstream(dev, port, vl, now);
-  release_packet(pkt);
+  retire_packet(pkt);
 }
 
 void Simulation::accumulate_delivery(const DeliveryRecord& rec) {
@@ -1185,54 +1114,10 @@ void Simulation::materialize_traces() {
 // events, draw random numbers or mutate engine state, which is what keeps
 // results bit-identical with the instrumentation on or off.
 
-void Simulation::take_sample(SimTime t) {
-  TimelineSample s;
-  s.t_ns = t;
-  // `intervals` counts BASE intervals: after d decimations each new sample
-  // covers one doubled window, i.e. 2^d base intervals, keeping the
-  // per-sample tiling invariant t_ns - prev.t_ns == intervals * base.
-  s.intervals =
-      static_cast<std::uint32_t>(timeline_.interval_ns /
-                                 timeline_.base_interval_ns);
-  s.generated = result_.packets_generated - sampled_generated_;
-  s.delivered = result_.packets_delivered - sampled_delivered_;
-  s.dropped = result_.packets_dropped - sampled_dropped_;
-  s.becn = cc_becn_sent_ - sampled_becn_;
-  sampled_generated_ = result_.packets_generated;
-  sampled_delivered_ = result_.packets_delivered;
-  sampled_dropped_ = result_.packets_dropped;
-  sampled_becn_ = cc_becn_sent_;
-  s.in_flight = result_.packets_generated - result_.packets_delivered -
-                result_.packets_dropped;
-  collect_sample_gauges(s);
-  timeline_.append(s);
-}
-
-void Simulation::emit_stream_window(SimTime t, bool partial) {
-  MetricsWindow w;
-  w.t_ns = t;
-  w.window_ns = t - last_stream_;
-  w.partial = partial;
-  w.shards = 1;
-  w.generated = result_.packets_generated - streamed_generated_;
-  w.delivered = result_.packets_delivered - streamed_delivered_;
-  w.dropped = result_.packets_dropped - streamed_dropped_;
-  w.becn = cc_becn_sent_ - streamed_becn_;
-  streamed_generated_ = result_.packets_generated;
-  streamed_delivered_ = result_.packets_delivered;
-  streamed_dropped_ = result_.packets_dropped;
-  streamed_becn_ = cc_becn_sent_;
-  w.in_flight = result_.packets_generated - result_.packets_delivered -
-                result_.packets_dropped;
-  w.events_processed = events_.events_processed();
-  last_stream_ = t;
-  stream_->window(w);
-}
-
 void Simulation::collect_sample_gauges(TimelineSample& s) const {
   const Fabric& g = subnet_->fabric().fabric();
   for (DeviceId dev = 0; dev < g.num_devices(); ++dev) {
-    if (sharded() && (*shard_.dev_shard)[dev] != shard_.shard_id) continue;
+    if (device_shard(dev) != shard_.shard_id) continue;
     for (PortId port = 1; port <= g.device(dev).num_ports(); ++port) {
       const std::size_t fp = port_index(dev, port);
       if (!port_connected_[fp]) continue;
@@ -1254,7 +1139,7 @@ void Simulation::collect_sample_gauges(TimelineSample& s) const {
   }
   if (cc_on()) {
     for (NodeId node = 0; node < cct_.size(); ++node) {
-      if (sharded() && (*shard_.node_shard)[node] != shard_.shard_id) continue;
+      if (!owns_node(node)) continue;
       const CongestionControlTable& cct = cct_[node];
       if (!cct.any_active()) continue;
       ++s.cct_active_nodes;
@@ -1354,6 +1239,19 @@ void Simulation::freeze_flight_dump(DeviceId dev, SimTime at,
   std::cerr << to_string(flight_dump_);
 }
 
+void Simulation::dump_last_flight() const {
+  if (flight_ring_.empty() || last_flight_dev_ == kInvalidDevice ||
+      flight_len_[last_flight_dev_] == 0) {
+    return;
+  }
+  const DeviceId dev = last_flight_dev_;
+  const std::uint32_t depth = cfg_.flight_recorder_depth;
+  const std::uint32_t newest = (flight_pos_[dev] + depth - 1) % depth;
+  const SimTime at =
+      flight_ring_[static_cast<std::size_t>(dev) * depth + newest].time;
+  std::cerr << to_string(render_flight_ring(dev, at, "contract violation"));
+}
+
 std::vector<LinkLoad> Simulation::link_loads() const {
   std::vector<LinkLoad> loads;
   const Fabric& g = subnet_->fabric().fabric();
@@ -1405,9 +1303,13 @@ std::size_t Simulation::memory_footprint() const noexcept {
 
 // --- main loop ---------------------------------------------------------------------
 
-void Simulation::dispatch(const Event& e) {
+void Simulation::observe(const Event& e) {
   if (!flight_ring_.empty()) record_flight(e);
   if (cfg_.trace_control) record_control(e);
+}
+
+void Simulation::dispatch(const Event& e) {
+  observe(e);
   switch (e.kind) {
     case EventKind::kGenerate:
       on_generate(static_cast<NodeId>(e.dev), e.time);
@@ -1448,28 +1350,6 @@ void Simulation::dispatch(const Event& e) {
     case EventKind::kDeliver:
       on_deliver(e.dev, e.port, e.vl, e.pkt, e.time);
       break;
-    case EventKind::kLinkFail:
-      on_link_fail(e.dev, e.port, e.time);
-      break;
-    case EventKind::kLinkRecover:
-      on_link_recover(e.dev, e.port, static_cast<DeviceId>(e.pkt), e.vl,
-                      e.time);
-      break;
-    case EventKind::kTrap: {
-      const auto sweep_done = sm_->on_trap(e.dev, e.port, e.time);
-      if (sweep_done) {
-        schedule(*sweep_done, EventKind::kSweepDone, e.dev);
-      }
-      break;
-    }
-    case EventKind::kSweepDone:
-      for (const auto& op : sm_->on_sweep_done(e.time)) {
-        schedule(op.at, EventKind::kLftProgram, op.plan_index, 0, 0, op.epoch);
-      }
-      break;
-    case EventKind::kLftProgram:
-      sm_->apply_program(e.dev, e.pkt, e.time);
-      break;
     case EventKind::kBecnArrive:
       on_becn(static_cast<NodeId>(e.dev), static_cast<NodeId>(e.pkt), e.time);
       break;
@@ -1479,25 +1359,21 @@ void Simulation::dispatch(const Event& e) {
     case EventKind::kCcRelease:
       on_cc_release(static_cast<NodeId>(e.dev), e.time);
       break;
+    default:
+      MLID_ASSERT(false, "control-plane events dispatch through the driver");
   }
 }
 
+void Simulation::drain_until(SimTime end) {
+  events_.drain_until(end, [this](const Event& e) { dispatch(e); });
+}
+
+SimResult Simulation::run() {
+  return Driver(std::span(this, 1), kSimTimeNever).run();
+}
+
 BurstResult Simulation::run_to_completion() {
-  MLID_EXPECT(burst_, "run_to_completion needs the burst factory");
-  MLID_EXPECT(!sharded(), "sharded runs go through ShardedSimulation");
-  events_.drain_until(std::numeric_limits<SimTime>::max(),
-                      [this](const Event& e) {
-                        MLID_ASSERT(e.kind != EventKind::kGenerate,
-                                    "burst mode schedules no generation");
-                        dispatch(e);
-                      });
-  MLID_EXPECT(result_.packets_delivered + result_.packets_dropped ==
-                  result_.packets_generated,
-              "burst did not fully drain");
-  check_invariants();
-  materialize_traces();
-  return finalize_burst(events_.events_processed(),
-                        events_.events_scheduled());
+  return Driver(std::span(this, 1), kSimTimeNever).run_to_completion();
 }
 
 BurstResult Simulation::finalize_burst(std::uint64_t events_processed,
@@ -1605,6 +1481,7 @@ std::vector<LinkStats> Simulation::link_stats() const {
 void Simulation::check_invariants() const {
   const Fabric& g = subnet_->fabric().fabric();
   for (DeviceId dev = 0; dev < g.num_devices(); ++dev) {
+    if (device_shard(dev) != shard_.shard_id) continue;
     for (PortId port = 1; port <= g.device(dev).num_ports(); ++port) {
       const std::size_t fp = port_index(dev, port);
       if (!port_connected_[fp]) continue;
@@ -1619,117 +1496,12 @@ void Simulation::check_invariants() const {
         MLID_EXPECT(vl_credits_[vs] >= 0 &&
                         vl_credits_[vs] <= cfg_.in_buf_pkts,
                     "credit counter out of range");
-        // Merged shard state carries foreign pool ids (each shard owns its
-        // own PacketPool), so the liveness cross-check is sequential-only.
-        MLID_EXPECT(sharded() || vl_tx_pkt_[vs] == kInvalidPacket ||
+        MLID_EXPECT(vl_tx_pkt_[vs] == kInvalidPacket ||
                         pool_.is_live(vl_tx_pkt_[vs]),
                     "transmission in progress without a live head packet");
       }
     }
   }
-}
-
-SimResult Simulation::run() {
-  MLID_EXPECT(!burst_, "burst simulation: use run_to_completion()");
-  MLID_EXPECT(!sharded(), "sharded runs go through ShardedSimulation");
-  const SimTime end = cfg_.end_time();
-  const auto run_start = std::chrono::steady_clock::now();
-  next_stream_ = stream_ != nullptr ? stream_->interval_ns() : kSimTimeNever;
-  last_stream_ = 0;
-  try {
-    if (!timeline_.enabled() && stream_ == nullptr) {
-      events_.drain_until(end, [this](const Event& e) { dispatch(e); });
-    } else {
-      // Sampler-interposed drain: a sample at time t is taken before any
-      // event at t dispatches, so it covers the window ending at t.  The
-      // cadence is re-read after every sample because append() doubles it
-      // when decimation triggers.  This is an observation loop wrapped
-      // around the identical pop order -- no event is ever scheduled for
-      // sampling, which is what keeps results bit-identical.  The metrics
-      // stream pacer interleaves on the same terms (its boundaries are
-      // host-side writes, never events).
-      SimTime next = timeline_.enabled()
-                         ? static_cast<SimTime>(timeline_.interval_ns)
-                         : kSimTimeNever;
-      while (const Event* e = events_.peek()) {
-        if (e->time >= end) break;
-        while (next <= e->time || next_stream_ <= e->time) {
-          if (next <= next_stream_) {
-            take_sample(next);
-            next += timeline_.interval_ns;
-          } else {
-            emit_stream_window(next_stream_, /*partial=*/false);
-            next_stream_ += stream_->interval_ns();
-          }
-        }
-        dispatch(events_.pop());
-      }
-      while (next <= end || next_stream_ <= end) {
-        if (next <= next_stream_) {
-          take_sample(next);
-          next += timeline_.interval_ns;
-        } else {
-          emit_stream_window(next_stream_, /*partial=*/false);
-          next_stream_ += stream_->interval_ns();
-        }
-      }
-    }
-    check_invariants();
-  } catch (const ContractViolation&) {
-    // Give the flight recorder its second job: on an engine-invariant
-    // failure, dump the last-touched device's ring before propagating.
-    if (!flight_ring_.empty() && last_flight_dev_ != kInvalidDevice &&
-        flight_len_[last_flight_dev_] > 0) {
-      const DeviceId dev = last_flight_dev_;
-      const std::uint32_t depth = cfg_.flight_recorder_depth;
-      const std::uint32_t newest = (flight_pos_[dev] + depth - 1) % depth;
-      const SimTime at =
-          flight_ring_[static_cast<std::size_t>(dev) * depth + newest].time;
-      std::cerr << to_string(
-          render_flight_ring(dev, at, "contract violation"));
-    }
-    throw;
-  }
-  materialize_traces();
-  if (cfg_.profile) {
-    // Sequential runs carry the sharded phase taxonomy with degenerate
-    // barrier / mailbox / control terms: the whole drain loop is one
-    // shard's "processing" phase.
-    const auto wall = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - run_start)
-            .count());
-    profile_.enabled = true;
-    profile_.shards = 1;
-    profile_.threads = 1;
-    profile_.total_wall_ns = wall;
-    profile_.processing_ns = wall;
-    const EventQueueStats qs = events_.stats();
-    profile_.queue_pushes = qs.events_scheduled;
-    profile_.queue_pops = qs.events_processed;
-    profile_.queue_overflow_pushes = qs.overflow_pushes;
-    profile_.queue_resizes = qs.resizes;
-    profile_.shard_phases.assign(
-        1, ShardPhaseProfile{wall, 0, qs.events_processed, 0});
-  }
-  const SimResult result = finalize_open_loop(events_.events_processed(),
-                                              events_.events_scheduled());
-  if (stream_ != nullptr) {
-    // The final sub-interval window (if the run end is not on a stream
-    // boundary), then the run summary.
-    if (last_stream_ < end) emit_stream_window(end, /*partial=*/true);
-    MetricsRunSummary summary;
-    summary.end_ns = end;
-    summary.shards = 1;
-    summary.threads = 1;
-    summary.generated = result.packets_generated;
-    summary.delivered = result.packets_delivered;
-    summary.dropped = result.packets_dropped;
-    summary.events_processed = result.events_processed;
-    summary.profile = &result.profile;
-    stream_->run_summary(summary);
-  }
-  return result;
 }
 
 SimResult Simulation::finalize_open_loop(std::uint64_t events_processed,

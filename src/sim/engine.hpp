@@ -53,10 +53,10 @@ struct OpenLoopOptions {
 };
 
 /// One event crossing a shard boundary in a sharded run (see
-/// parallel/sharded.hpp): a plain value the parallel driver carries from the
-/// scheduling shard's outbox into the owning shard's queue at the next
-/// window barrier.  Packet handoffs (kHeadArrive) carry the packet by value;
-/// the receiver re-allocates it in its own pool.
+/// parallel/sharded.hpp): a plain value the driver (sim/driver.hpp) carries
+/// from the scheduling shard's outbox into the owning shard's queue at the
+/// next window barrier.  Packet handoffs (kHeadArrive) carry the packet by
+/// value; the receiver re-allocates it in its own pool.
 struct ShardMessage {
   SimTime time = 0;
   EventKind kind = EventKind::kGenerate;
@@ -69,16 +69,15 @@ struct ShardMessage {
   Packet packet;  ///< valid when has_packet
 };
 
-/// Binding of one Simulation instance into a sharded run.  Installed at
-/// construction by ShardedSimulation; all pointers reference driver-owned
-/// storage that outlives the shard.  A null outbox means "not sharded".
+/// Binding of one Simulation instance into a sharded run, installed at
+/// construction.  The partition tables live on the heap inside
+/// ShardedSimulation, so they stay put when that object moves.  The default
+/// binding is the whole fabric on one shard.
 struct ShardBinding {
   std::uint32_t shard_id = 0;
   std::uint32_t num_shards = 1;
   const std::vector<std::uint32_t>* dev_shard = nullptr;   ///< by DeviceId
   const std::vector<std::uint32_t>* node_shard = nullptr;  ///< by NodeId
-  std::vector<ShardMessage>* outbox = nullptr;   ///< cross-shard data events
-  std::vector<ShardMessage>* control = nullptr;  ///< SM/fault events -> driver
 };
 
 class Simulation {
@@ -100,7 +99,8 @@ class Simulation {
       const std::vector<MessageSpec>& workload);
 
   /// Run to config.end_time() and return the collected metrics
-  /// (open-loop mode only).
+  /// (open-loop mode only).  Drives this engine as the single shard of the
+  /// window loop (sim/driver.hpp).
   SimResult run();
 
   /// Drain the burst workload and report makespan / message latencies
@@ -147,17 +147,22 @@ class Simulation {
   /// SimConfig::telemetry; valid after run() / run_to_completion().
   [[nodiscard]] std::vector<LinkStats> link_stats() const;
 
-  /// Token-conservation self-check: every output slot/credit counter must
-  /// still balance against its capacity.  Throws ContractViolation on the
-  /// first violation; run() calls it automatically before returning.
+  /// Token-conservation self-check over the devices this engine owns: every
+  /// output slot/credit counter must still balance against its capacity and
+  /// every transmission in progress must hold a live pool packet.  Throws
+  /// ContractViolation on the first violation; the driver calls it on every
+  /// shard before returning.
   void check_invariants() const;
 
   /// Internals of the pending-event structure this run executed on (kind,
-  /// scheduled/processed counts, ladder bucket occupancy / resizes /
-  /// overflow depth).  Pure host-performance metadata: identical results
-  /// come out of either queue kind.
+  /// scheduled/processed counts including the control plane, ladder bucket
+  /// occupancy / resizes / overflow depth).  Pure host-performance
+  /// metadata: identical results come out of either queue kind.
   [[nodiscard]] EventQueueStats queue_stats() const noexcept {
-    return events_.stats();
+    EventQueueStats s = events_.stats();
+    s.events_scheduled += control_.events_scheduled();
+    s.events_processed += control_.events_processed();
+    return s;
   }
 
   /// Per-HCA congestion-control counters (BECNs, throttled time, peak CCT
@@ -175,9 +180,11 @@ class Simulation {
   [[nodiscard]] std::size_t memory_footprint() const noexcept;
 
  private:
-  /// The conservative-sync parallel driver (parallel/sharded.hpp) drives
-  /// shard instances through the private machinery: it pops/dispatches
-  /// events, drains outboxes, replays deliveries and merges results.
+  /// The driver (sim/driver.hpp) runs every simulation through the private
+  /// machinery: it pops and dispatches events, drains outboxes and owns the
+  /// control plane.  The sharded engine (parallel/sharded.hpp) builds the
+  /// shards and merges their results.
+  friend class Driver;
   friend class ShardedSimulation;
 
   // --- engine state types ----------------------------------------------------
@@ -209,9 +216,13 @@ class Simulation {
     PortId in_port = 0;  ///< 0 = came from the local source queue
     PortId out_port = 0;
     std::int32_t trace = -1;  ///< index into traces_, -1 = untraced
-    /// Shard mode: the packet's head crossed a shard boundary; this pool
-    /// entry is a stale copy to be released when its tail finishes.
-    bool handed_off = false;
+    /// Transmissions whose tail is still draining this packet (a cut-through
+    /// packet can span several links).  The slot is only released once
+    /// this drops to zero, so no transmission ever holds a dead packet.
+    std::uint8_t wire_refs = 0;
+    /// Dropped, delivered or handed to another shard while a tail was still
+    /// draining it: the last tail-out releases it.
+    bool retired = false;
   };
   struct NodeState {
     double next_gen_ns = 0.0;
@@ -223,10 +234,10 @@ class Simulation {
     SimTime completed_at = -1;
   };
   /// Everything accumulate_delivery() needs from one delivered packet.  In a
-  /// sharded run each shard logs these instead of feeding its own Welford
-  /// accumulators; the driver replays the global log on shard 0 in canonical
-  /// order, so the order-sensitive running statistics see the exact sequence
-  /// the sequential oracle produced.
+  /// multi-shard run each shard logs these instead of feeding its own
+  /// Welford accumulators; the sharded engine replays the global log on
+  /// shard 0 in event order, so the order-sensitive running statistics see
+  /// the exact sequence a one-shard run produces.
   struct DeliveryRecord {
     SimTime time = 0;
     DeviceId dev = kInvalidDevice;
@@ -296,9 +307,6 @@ class Simulation {
   // packet died (freezes that device's flight-recorder ring on the first
   // drop).
   void count_drop(DropReason reason, PacketId pkt, DeviceId dev, SimTime now);
-  void on_link_fail(DeviceId dev, PortId port, SimTime now);
-  void on_link_recover(DeviceId dev_a, PortId port_a, DeviceId dev_b,
-                       PortId port_b, SimTime now);
   void kill_port(DeviceId dev, PortId port, SimTime now);
   void revive_port(DeviceId dev, PortId port);
   void drop_in_switch(PacketId pkt, SimTime now);
@@ -319,44 +327,41 @@ class Simulation {
   void return_credit_upstream(DeviceId dev, PortId in_port, VlId vl,
                               SimTime now);
   // Construction happens through the open_loop() / burst() factories only
-  // (plus the *_shard variants ShardedSimulation uses).
+  // (ShardedSimulation builds its shards with an explicit binding).
   Simulation(const Subnet& subnet, SimConfig config, TrafficConfig traffic,
              double offered_load, bool burst,
-             const ShardBinding* binding = nullptr);  // shared setup
+             const ShardBinding& binding);  // shared setup
   Simulation(const Subnet& subnet, SimConfig config, TrafficConfig traffic,
-             double offered_load, const OpenLoopOptions& options);
+             double offered_load, const OpenLoopOptions& options,
+             const ShardBinding& binding = {});
   Simulation(const Subnet& subnet, SimConfig config,
              const std::vector<MessageSpec>& workload,
-             const ShardBinding* binding = nullptr);
+             const ShardBinding& binding = {});
+  /// Installs the live SM's tables; shard 0 also queues the fault schedule
+  /// on its control plane, which the driver dispatches.
   void attach_live_sm(SubnetManager& sm, const FaultSchedule& faults);
 
-  // --- shard-mode machinery (driven by ShardedSimulation) ---------------------
-  /// One shard of a sharded open-loop run: seeds only owned nodes, routes
-  /// boundary events through the binding's outbox.  `sm` (optional) is read
-  /// for live tables only; fault events live in the driver's control queue.
-  [[nodiscard]] static Simulation open_loop_shard(const Subnet& subnet,
-                                                  const SimConfig& config,
-                                                  const TrafficConfig& traffic,
-                                                  double offered_load,
-                                                  SubnetManager* sm,
-                                                  const ShardBinding& binding);
-  [[nodiscard]] static Simulation burst_shard(
-      const Subnet& subnet, const SimConfig& config,
-      const std::vector<MessageSpec>& workload, const ShardBinding& binding);
-  [[nodiscard]] bool sharded() const noexcept {
-    return shard_.outbox != nullptr;
-  }
+  // --- shard-mode machinery ----------------------------------------------------
+  // A shard of a multi-shard run seeds only its owned nodes and routes
+  // boundary events through its outbox.  Every shard reads the live SM's
+  // tables; only shard 0 queues the faults and carries the metrics stream.
+  [[nodiscard]] bool sharded() const noexcept { return shard_.num_shards > 1; }
   [[nodiscard]] bool owns_node(NodeId node) const noexcept {
     return !sharded() || (*shard_.node_shard)[node] == shard_.shard_id;
+  }
+  /// Shard that owns a device (0 when the fabric is not partitioned).
+  [[nodiscard]] std::uint32_t device_shard(DeviceId dev) const noexcept {
+    return sharded() ? (*shard_.dev_shard)[dev] : 0;
   }
   /// Shard that must dispatch an event (node-scoped kinds map through the
   /// node partition, device-scoped through the device partition).
   [[nodiscard]] std::uint32_t target_shard(EventKind kind,
                                            DeviceId dev) const noexcept;
-  /// Canonical tie-break key for an event (EventOrder::kCanonical).
+  /// Tie-break key for an event (Event::corder).
   [[nodiscard]] std::uint64_t corder_of(EventKind kind, PacketId pkt) const;
-  /// The engine's single scheduling point: pushes locally, or -- in shard
-  /// mode -- routes control kinds and other shards' events into the binding.
+  /// The engine's single scheduling point for data-plane events: pushes
+  /// locally, or -- in shard mode -- routes other shards' events into the
+  /// outbox.  Control-plane events go to the driver's queue (control_).
   void schedule(SimTime time, EventKind kind, DeviceId dev, PortId port = 0,
                 VlId vl = 0, PacketId pkt = kInvalidPacket);
   /// Delivers a boundary event from another shard into the local queue,
@@ -374,26 +379,29 @@ class Simulation {
   [[nodiscard]] BurstResult finalize_burst(std::uint64_t events_processed,
                                            std::uint64_t events_scheduled);
   PacketId alloc_packet();
-  void release_packet(PacketId pkt);
+  /// The packet's journey on this shard is over: release its slot now, or
+  /// at its last draining tail-out (see PacketRt::wire_refs).
+  void retire_packet(PacketId pkt);
   [[nodiscard]] SimTime wire_ns(PacketId pkt) const {
     return static_cast<SimTime>(pool_.get(pkt).size_bytes) * cfg_.byte_time_ns;
   }
   void dispatch(const Event& e);
+  /// Dispatches every pending event strictly before `end`: the body of a
+  /// driver window, defined beside dispatch() so the handlers inline into
+  /// the loop.
+  void drain_until(SimTime end);
+  /// The passive recorders every dispatched event passes through (flight
+  /// recorder, control trace); the driver calls it for control events.
+  void observe(const Event& e);
   void trace_event(PacketId pkt, SimTime now, TracePoint point, DeviceId dev,
                    PortId port, VlId vl,
                    DropReason drop = DropReason::kNone);
   /// Distributes the pooled trace arena into traces_[i].events (run end).
   void materialize_traces();
   // --- time-resolved observability (all passive; see sim/timeline.hpp) -------
-  /// Snapshots one TimelineSample at simulated time `t` (counters-only).
-  void take_sample(SimTime t);
   /// Fills the gauge fields of `s` by scanning this engine's (owned)
-  /// devices and HCAs.  Shared by the sequential sampler and -- summed
-  /// across shards -- the sharded driver's sampler.
+  /// devices and HCAs; the driver's sampler sums them across shards.
   void collect_sample_gauges(TimelineSample& s) const;
-  /// Emits one JSONL "window" line at simulated time `t` (counters-only;
-  /// sequential engine; the sharded driver paces its own fleet lines).
-  void emit_stream_window(SimTime t, bool partial);
   void record_flight(const Event& e);
   void record_control(const Event& e);
   /// The device a dispatched event belongs to for the flight recorder
@@ -402,6 +410,9 @@ class Simulation {
   void freeze_flight_dump(DeviceId dev, SimTime at, std::string cause);
   [[nodiscard]] FlightRecorderDump render_flight_ring(DeviceId dev, SimTime at,
                                                       std::string cause) const;
+  /// On an engine-invariant failure: renders the last-touched device's ring
+  /// to stderr (no-op without the flight recorder).
+  void dump_last_flight() const;
   [[nodiscard]] VlId assign_vl(NodeId src, NodeId dst);
   void accumulate_utilization(std::size_t fp, SimTime start, SimTime end);
   /// Closes open credit-stall intervals at `end` and rolls the per-link /
@@ -413,7 +424,8 @@ class Simulation {
   // --- wiring -------------------------------------------------------------------
   const Subnet* subnet_;
   SubnetManager* sm_ = nullptr;  ///< live tables + SM state machine, optional
-  ShardBinding shard_;           ///< inert (null outbox) outside sharded runs
+  ShardBinding shard_;
+  std::vector<ShardMessage> outbox_;        ///< shard mode: other shards' events
   std::vector<DeliveryRecord> deliveries_;  ///< shard mode only
   SimConfig cfg_;
   TrafficPattern traffic_;
@@ -421,6 +433,10 @@ class Simulation {
   double gen_interval_ns_;
 
   EventQueue events_;
+  /// The control plane (faults, SM traps / sweeps / LFT programs): zero
+  /// lookahead, so the driver dispatches it in sequential global steps.
+  /// Only shard 0's is used.  Heap: a handful of events.
+  EventQueue control_{EventQueueKind::kHeap};
   PacketPool pool_;          ///< generation-checked slots + intrusive links
   std::vector<PacketRt> rt_; ///< routing scratch, parallel to the pool
 
@@ -487,11 +503,7 @@ class Simulation {
   std::vector<std::uint64_t> cc_index_hist_;        ///< [0, cct_levels]
 
   // --- time-resolved observability (empty / inert unless configured) ---------
-  Timeline timeline_;
-  std::uint64_t sampled_generated_ = 0;  ///< counters at the last sample
-  std::uint64_t sampled_delivered_ = 0;
-  std::uint64_t sampled_dropped_ = 0;
-  std::uint64_t sampled_becn_ = 0;
+  Timeline timeline_;  ///< shard 0's is the one the driver samples into
   std::vector<FlightEvent> flight_ring_;   ///< [dev * depth + slot]
   std::vector<std::uint32_t> flight_pos_;  ///< next write slot per device
   std::vector<std::uint32_t> flight_len_;  ///< valid entries per device
@@ -500,17 +512,10 @@ class Simulation {
   std::vector<ControlTraceRecord> control_trace_;
 
   // --- engine self-profile + metrics stream (inert unless configured) --------
-  /// Filled by run() when cfg_.profile (sequential taxonomy), or installed
-  /// by the sharded driver before finalize_open_loop; copied into
-  /// SimResult::profile.
+  /// Installed by the driver before finalize_open_loop when cfg_.profile;
+  /// copied into SimResult::profile.
   ProfileSummary profile_;
   MetricsStreamer* stream_ = nullptr;  ///< non-owning, from OpenLoopOptions
-  SimTime next_stream_ = 0;            ///< next window-line boundary
-  SimTime last_stream_ = 0;            ///< previous emitted boundary
-  std::uint64_t streamed_generated_ = 0;  ///< counters at the last line
-  std::uint64_t streamed_delivered_ = 0;
-  std::uint64_t streamed_dropped_ = 0;
-  std::uint64_t streamed_becn_ = 0;
 
   // --- metrics accumulation -------------------------------------------------
   SimResult result_;

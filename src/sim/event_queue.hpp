@@ -1,18 +1,21 @@
 // Discrete-event core: deterministic time-ordered event queues.
 //
-// Ties on the timestamp are broken by insertion sequence number, which makes
-// every simulation run bit-reproducible for a given seed (asserted by the
-// test suite).  Two interchangeable implementations sit behind the EventQueue
-// facade, selected by SimConfig::event_queue:
+// Ties on the timestamp are broken by event content -- (kind, dev, port, vl,
+// corder), then insertion sequence -- so the dispatch order at each instant
+// is a pure function of *what* is pending, not of which queue (or shard)
+// scheduled it first.  That makes every run bit-reproducible for a given
+// seed and identical across shard counts (asserted by the test suite).  Two
+// interchangeable implementations sit behind the EventQueue facade, selected
+// by SimConfig::event_queue:
 //
 //   * HeapEventQueue   -- a std::priority_queue binary heap, O(log n) per
 //     push/pop.  The reference implementation.
 //   * LadderEventQueue -- a calendar/ladder queue: an array of FIFO epoch
 //     buckets covering the near time horizon plus a sorted overflow tier for
 //     far-future events, amortized O(1) per event.  Pop order is *exactly*
-//     the heap's (time, seq) total order -- every bucket is sorted once when
+//     the heap's total order -- every bucket is sorted once when
 //     its epoch becomes current, and late pushes into the active epoch are
-//     merge-inserted ahead of the drain cursor -- so the two queues are
+//     merge-inserted beyond the drain cursor -- so the two queues are
 //     bit-interchangeable (asserted by sim/event_queue_test.cpp and
 //     sim/queue_parity_test.cpp).
 #pragma once
@@ -90,10 +93,9 @@ enum class EventKind : std::uint8_t {
 
 struct Event {
   SimTime time = 0;
-  std::uint64_t seq = 0;  ///< insertion order; total-orders simultaneous events
+  std::uint64_t seq = 0;  ///< insertion order; the last tie-break
   /// Content-derived tie-break key, independent of which queue scheduled the
   /// event (packet generation order for data events, payload for BECNs).
-  /// Only consulted under EventOrder::kCanonical.
   std::uint64_t corder = 0;
   EventKind kind = EventKind::kGenerate;
   DeviceId dev = kInvalidDevice;
@@ -101,25 +103,6 @@ struct Event {
   PortId port = 0;
   VlId vl = 0;
 };
-
-/// Tie-break rule for events at the same timestamp.
-enum class EventOrder : std::uint8_t {
-  /// Insertion order (seq).  The historical rule: deterministic for a single
-  /// sequential queue, and the default everywhere.
-  kFifo,
-  /// Content key (kind, dev, port, vl, corder) before seq.  Makes the
-  /// dispatch order at each timestamp a pure function of *what* is pending,
-  /// not of which queue (or shard) scheduled it first -- the property the
-  /// sharded engine needs to stay bit-identical to its sequential oracle.
-  /// Events with fully equal content keys are commutative (e.g. two credit
-  /// returns to the same (port, VL)), so seq as the final tie-break never
-  /// changes results.
-  kCanonical,
-};
-
-[[nodiscard]] constexpr std::string_view to_string(EventOrder order) {
-  return order == EventOrder::kFifo ? "fifo" : "canonical";
-}
 
 /// Which pending-event structure the engine runs on.
 enum class EventQueueKind : std::uint8_t {
@@ -161,31 +144,35 @@ struct EventQueueStats {
 };
 
 namespace detail {
-/// Strict-weak "earlier" order on (time, seq); seq is unique, so this is a
-/// total order.
-struct EarlierEvent {
+/// Strict-weak "earlier" order: time, then the content key (kind, dev, port,
+/// vl, corder), then seq.  seq is unique, so this is a total order.  Events
+/// with fully equal content keys are commutative (e.g. two credit returns to
+/// the same (port, VL)), so seq as the final tie-break never changes results.
+struct EventCompare {
+  /// (kind, dev, port, vl) packed most significant first, so one integer
+  /// comparison orders them lexicographically.
+  static std::uint64_t content_key(const Event& e) noexcept {
+    static_assert(sizeof(DeviceId) == 4 && sizeof(PortId) == 1 &&
+                  sizeof(VlId) == 1 && sizeof(EventKind) == 1);
+    return static_cast<std::uint64_t>(e.kind) << 48 |
+           static_cast<std::uint64_t>(e.dev) << 16 |
+           static_cast<std::uint64_t>(e.port) << 8 | e.vl;
+  }
+
   bool operator()(const Event& a, const Event& b) const noexcept {
     if (a.time != b.time) return a.time < b.time;
+    const std::uint64_t ka = content_key(a);
+    const std::uint64_t kb = content_key(b);
+    if (ka != kb) return ka < kb;
+    if (a.corder != b.corder) return a.corder < b.corder;
     return a.seq < b.seq;
   }
 };
 
-/// Runtime-selected strict-weak "earlier" order: (time, seq) under kFifo,
-/// (time, kind, dev, port, vl, corder, seq) under kCanonical.  seq is unique
-/// either way, so both are total orders.
-struct EventCompare {
-  EventOrder order = EventOrder::kFifo;
-
+/// The reverse order, for std::priority_queue's max-heap.
+struct EventLater {
   bool operator()(const Event& a, const Event& b) const noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    if (order == EventOrder::kCanonical) {
-      if (a.kind != b.kind) return a.kind < b.kind;
-      if (a.dev != b.dev) return a.dev < b.dev;
-      if (a.port != b.port) return a.port < b.port;
-      if (a.vl != b.vl) return a.vl < b.vl;
-      if (a.corder != b.corder) return a.corder < b.corder;
-    }
-    return a.seq < b.seq;
+    return EventCompare{}(b, a);
   }
 };
 }  // namespace detail
@@ -194,9 +181,6 @@ struct EventCompare {
 /// ladder queue is validated (and raced) against.
 class HeapEventQueue {
  public:
-  explicit HeapEventQueue(EventOrder order = EventOrder::kFifo)
-      : heap_(Later{detail::EventCompare{order}}) {}
-
   void push(const Event& e) { heap_.push(e); }
 
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
@@ -210,13 +194,7 @@ class HeapEventQueue {
   }
 
  private:
-  struct Later {
-    detail::EventCompare earlier;
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return earlier(b, a);
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::priority_queue<Event, std::vector<Event>, detail::EventLater> heap_;
 };
 
 /// Ladder/calendar queue.  Simulated time is divided into fixed-width
@@ -224,7 +202,7 @@ class HeapEventQueue {
 /// near horizon [current epoch, current epoch + buckets).  Pushes inside
 /// the horizon append to their epoch's bucket (O(1)); pushes beyond it go
 /// to a heap-ordered overflow tier.  When an epoch becomes current its
-/// bucket is sorted once by (time, seq) and drained through a cursor;
+/// bucket is sorted once by the event order and drained through a cursor;
 /// events scheduled *into the active epoch* while it drains (common: a
 /// handler scheduling work a few ns ahead) are merge-inserted beyond the
 /// cursor, preserving the exact total order.  Before any epoch drains,
@@ -242,10 +220,7 @@ class LadderEventQueue {
   /// Ring doubles when it averages more than this many events per bucket.
   static constexpr std::size_t kResizeLoad = 8;
 
-  explicit LadderEventQueue(EventOrder order = EventOrder::kFifo)
-      : earlier_{order},
-        overflow_(LaterOverflow{detail::EventCompare{order}}),
-        ring_(kDefaultBuckets) {}
+  LadderEventQueue() : ring_(kDefaultBuckets) {}
 
   void push(const Event& e) {
     ++size_;
@@ -254,10 +229,9 @@ class LadderEventQueue {
       // Arrival into (or, after a peek advanced the horizon, before) the
       // active epoch: merge beyond the drain cursor.  e.seq is larger than
       // every queued seq, so upper_bound lands it after all already-pending
-      // events with the same order key.  An insertion point *behind* the
-      // cursor cannot arise under kFifo; under kCanonical a same-timestamp
-      // event with a smaller content key clamps to the cursor, which is
-      // exactly where a heap would pop it next.
+      // events with the same order key.  A same-timestamp event with a
+      // smaller content key than an already-popped one clamps to the
+      // cursor, which is exactly where a heap would pop it next.
       const auto it =
           std::upper_bound(drain_.begin() + static_cast<std::ptrdiff_t>(pos_),
                            drain_.end(), e, earlier_);
@@ -373,15 +347,9 @@ class LadderEventQueue {
   static constexpr std::uint64_t kNoEpoch =
       std::numeric_limits<std::uint64_t>::max();
 
-  struct LaterOverflow {
-    detail::EventCompare earlier;
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      return earlier(b, a);
-    }
-  };
-
   detail::EventCompare earlier_;
-  std::priority_queue<Event, std::vector<Event>, LaterOverflow> overflow_;
+  std::priority_queue<Event, std::vector<Event>, detail::EventLater>
+      overflow_;
   std::vector<std::vector<Event>> ring_;  ///< epoch e -> ring_[e & mask]
   std::vector<Event> drain_;  ///< current epoch, sorted; pos_ is the cursor
   std::size_t pos_ = 0;
@@ -400,9 +368,8 @@ class LadderEventQueue {
 /// ordering to the implementation SimConfig::event_queue selects.
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueKind kind = EventQueueKind::kLadder,
-                      EventOrder order = EventOrder::kFifo)
-      : kind_(kind), order_(order), heap_(order), ladder_(order) {}
+  explicit EventQueue(EventQueueKind kind = EventQueueKind::kLadder)
+      : kind_(kind) {}
 
   void push(SimTime time, EventKind kind, DeviceId dev, PortId port = 0,
             VlId vl = 0, PacketId pkt = kInvalidPacket,
@@ -464,7 +431,6 @@ class EventQueue {
   }
 
   [[nodiscard]] EventQueueKind kind() const noexcept { return kind_; }
-  [[nodiscard]] EventOrder order() const noexcept { return order_; }
 
   [[nodiscard]] EventQueueStats stats() const noexcept {
     EventQueueStats s;
@@ -484,7 +450,6 @@ class EventQueue {
 
  private:
   EventQueueKind kind_;
-  EventOrder order_;
   HeapEventQueue heap_;
   LadderEventQueue ladder_;
   std::uint64_t next_seq_ = 0;

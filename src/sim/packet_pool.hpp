@@ -1,4 +1,4 @@
-// Pooled packet storage shared by the sequential and sharded engines.
+// Pooled packet storage, one pool per engine shard.
 //
 // Packets are recycled through a freelist (no per-packet heap traffic on
 // the hot path) and every slot carries a generation counter that is bumped

@@ -80,12 +80,10 @@ TEST(Sweep, RunnerIsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(Sweep, ShardedPointsMatchTheSequentialCanonicalOracle) {
-  // shards > 1 routes every point through the sharded engine, which forces
-  // the canonical event order -- so the oracle is a sequential sweep with
-  // that same order set explicitly.
-  FigureSpec spec = tiny_spec();
-  spec.sim.event_order = EventOrder::kCanonical;
+TEST(Sweep, ShardedPointsMatchOneShardPoints) {
+  // The shard count only partitions each point's fabric; every result
+  // field must match the one-shard sweep.
+  const FigureSpec spec = tiny_spec();
   const auto seq = run_sweep(spec, {.threads = 1});
   const auto sharded = run_sweep(spec, {.threads = 1, .shards = 2});
   ASSERT_EQ(seq.size(), sharded.size());
@@ -183,13 +181,11 @@ TEST(Sweep, ManifestRecordsTheRun) {
 
 TEST(Sweep, ShardedEventsPerSecKeepsTheSequentialDefinition) {
   // events_per_sec = fleet-processed events / driver wall time, the same
-  // definition sequential points use -- NOT per-shard rates summed or the
-  // busiest shard's rate.  Under the canonical order a sharded point
-  // processes exactly the events the sequential point does, so the
-  // numerator must be identical and the rate must divide it by the
-  // manifest's own wall_seconds.
+  // definition one-shard points use -- NOT per-shard rates summed or the
+  // busiest shard's rate.  A sharded point processes exactly the events
+  // the one-shard point does, so the numerator must be identical and the
+  // rate must divide it by the manifest's own wall_seconds.
   FigureSpec spec = tiny_spec();
-  spec.sim.event_order = EventOrder::kCanonical;
   spec.loads = {0.6};
   const auto seq = run_sweep(spec, {.threads = 1});
   const auto sharded = run_sweep(spec, {.threads = 1, .shards = 2});

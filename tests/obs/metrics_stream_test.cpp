@@ -128,12 +128,11 @@ TEST(MetricsStream, GoldenLineSchemas) {
   EXPECT_EQ(read_lines(path2)[0].find("\"profile\""), std::string::npos);
 }
 
-SimConfig quick_canonical() {
+SimConfig quick_cfg() {
   SimConfig cfg;
   cfg.warmup_ns = 5'000;
   cfg.measure_ns = 20'000;
   cfg.seed = 7;
-  cfg.event_order = EventOrder::kCanonical;
   return cfg;
 }
 
@@ -150,7 +149,7 @@ std::size_t count_kind(const std::vector<std::string>& lines,
 TEST(MetricsStream, SequentialWindowCadence) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
-  const SimConfig cfg = quick_canonical();  // end = 25'000 ns
+  const SimConfig cfg = quick_cfg();  // end = 25'000 ns
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 11};
 
   // Interval divides the end time exactly: full windows only, the last one
@@ -208,7 +207,7 @@ TEST(MetricsStream, SequentialWindowCadence) {
 TEST(MetricsStream, ShardedStreamMatchesCountersAndCadence) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
-  const SimConfig cfg = quick_canonical();
+  const SimConfig cfg = quick_cfg();
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 11};
 
   for (const std::uint32_t shards : {2u, 4u}) {
@@ -228,7 +227,7 @@ TEST(MetricsStream, ShardedStreamMatchesCountersAndCadence) {
     EXPECT_EQ(count_kind(lines, "window"), 4u);
     EXPECT_EQ(count_kind(lines, "summary"), 1u);
     // Window deltas must sum to the run totals: the final partial window is
-    // emitted before the root merge, so nothing is double-counted.
+    // emitted before the shard merge, so nothing is double-counted.
     std::uint64_t generated = 0;
     for (const std::string& l : lines) {
       if (l.rfind("{\"kind\":\"window\"", 0) != 0) continue;

@@ -1,7 +1,7 @@
 // The observability passive contract, asserted: profiling and metrics
 // streaming read host clocks and existing counters only, so simulation
-// results are byte-identical with them on or off -- sequential and sharded,
-// for every shard x thread combination.  Comparison goes through the JSON
+// results are byte-identical with them on or off, for every shard x thread
+// combination.  Comparison goes through the JSON
 // export with the profile block scrubbed (its wall times are host noise by
 // design; everything else must match to the last bit).
 #include <gtest/gtest.h>
@@ -17,12 +17,11 @@
 namespace mlid {
 namespace {
 
-SimConfig quick_canonical(bool profile) {
+SimConfig quick_cfg(bool profile) {
   SimConfig cfg;
   cfg.warmup_ns = 5'000;
   cfg.measure_ns = 20'000;
   cfg.seed = 3;
-  cfg.event_order = EventOrder::kCanonical;
   cfg.profile = profile;
   return cfg;
 }
@@ -33,16 +32,16 @@ std::string scrubbed_json(SimResult r) {
   return to_json(r);
 }
 
-TEST(ProfileParity, SequentialProfilingIsPassive) {
+TEST(ProfileParity, OneShardProfilingIsPassive) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
   for (const double load : {0.2, 0.6}) {
     const SimResult off =
-        Simulation::open_loop(subnet, quick_canonical(false), traffic, load)
+        Simulation::open_loop(subnet, quick_cfg(false), traffic, load)
             .run();
     const SimResult on =
-        Simulation::open_loop(subnet, quick_canonical(true), traffic, load)
+        Simulation::open_loop(subnet, quick_cfg(true), traffic, load)
             .run();
     EXPECT_TRUE(on.profile.enabled);
     EXPECT_EQ(to_json(off), scrubbed_json(on)) << "load " << load;
@@ -54,18 +53,17 @@ TEST(ProfileParity, ShardedProfilingIsPassiveForEveryShardThreadCombo) {
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
   constexpr double kLoad = 0.6;
-  // The unprofiled sequential run is the oracle for the whole matrix.
-  const std::string oracle = to_json(
-      Simulation::open_loop(subnet, quick_canonical(false), traffic, kLoad)
-          .run());
+  // The unprofiled one-shard run is the reference for the whole matrix.
+  const std::string reference = to_json(
+      Simulation::open_loop(subnet, quick_cfg(false), traffic, kLoad).run());
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     for (const std::uint32_t threads : {1u, 2u, 4u}) {
       ShardedSimulation sim = ShardedSimulation::open_loop(
-          subnet, quick_canonical(true), traffic, kLoad, {shards, threads});
+          subnet, quick_cfg(true), traffic, kLoad, {shards, threads});
       const SimResult on = sim.run();
       EXPECT_TRUE(on.profile.enabled);
       EXPECT_EQ(on.profile.shards, shards);
-      EXPECT_EQ(oracle, scrubbed_json(on))
+      EXPECT_EQ(reference, scrubbed_json(on))
           << "shards " << shards << " threads " << threads;
     }
   }
@@ -76,35 +74,24 @@ TEST(ProfileParity, MetricsStreamingIsPassive) {
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
   constexpr double kLoad = 0.6;
-  const std::string oracle = to_json(
-      Simulation::open_loop(subnet, quick_canonical(false), traffic, kLoad)
-          .run());
-
-  // Sequential with a stream attached: the pacer splits the run loop at
-  // window boundaries but must not change what the simulation computes.
-  {
-    MetricsStreamer stream(::testing::TempDir() + "/parity_seq.jsonl", 3'000);
-    OpenLoopOptions options;
-    options.metrics = &stream;
-    const SimResult streamed =
-        Simulation::open_loop(subnet, quick_canonical(false), traffic, kLoad,
-                              options)
-            .run();
-    EXPECT_EQ(oracle, to_json(streamed));
-  }
-
-  // Sharded: a stream boundary only splits a conservative-sync window, and
-  // any window partition is a valid schedule.
-  for (const std::uint32_t shards : {2u, 4u}) {
-    MetricsStreamer stream(::testing::TempDir() + "/parity_shard" +
-                               std::to_string(shards) + ".jsonl",
-                           3'000);
-    OpenLoopOptions options;
-    options.metrics = &stream;
-    ShardedSimulation sim = ShardedSimulation::open_loop(
-        subnet, quick_canonical(false), traffic, kLoad, {shards, 0}, options);
-    const SimResult streamed = sim.run();
-    EXPECT_EQ(oracle, to_json(streamed)) << "shards " << shards;
+  const std::string reference = to_json(
+      Simulation::open_loop(subnet, quick_cfg(false), traffic, kLoad).run());
+  // A stream boundary only splits a conservative-sync window, and any
+  // window partition is a valid schedule.
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      MetricsStreamer stream(::testing::TempDir() + "/parity_shard" +
+                                 std::to_string(shards) + "_" +
+                                 std::to_string(threads) + ".jsonl",
+                             3'000);
+      OpenLoopOptions options;
+      options.metrics = &stream;
+      ShardedSimulation sim = ShardedSimulation::open_loop(
+          subnet, quick_cfg(false), traffic, kLoad, {shards, threads},
+          options);
+      EXPECT_EQ(reference, to_json(sim.run()))
+          << "shards " << shards << " threads " << threads;
+    }
   }
 }
 
@@ -116,16 +103,15 @@ TEST(ProfileParity, FlightRecorderWorksUnderSharding) {
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
   constexpr double kLoad = 0.9;  // drops likely: gives the recorder a cause
-  SimConfig cfg = quick_canonical(false);
+  SimConfig cfg = quick_cfg(false);
   cfg.flight_recorder_depth = 32;
-  const std::string oracle = to_json(
-      Simulation::open_loop(subnet, quick_canonical(false), traffic, kLoad)
-          .run());
+  const std::string reference = to_json(
+      Simulation::open_loop(subnet, quick_cfg(false), traffic, kLoad).run());
   for (const std::uint32_t shards : {2u, 4u}) {
     ShardedSimulation sim = ShardedSimulation::open_loop(
         subnet, cfg, traffic, kLoad, {shards, 0});
     const SimResult r = sim.run();
-    EXPECT_EQ(oracle, to_json(r)) << "shards " << shards;
+    EXPECT_EQ(reference, to_json(r)) << "shards " << shards;
     // The dump accessor must be callable either way; when a drop froze a
     // ring, its cause names the owning shard.
     const FlightRecorderDump& dump = sim.flight_dump();

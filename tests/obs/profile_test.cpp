@@ -1,6 +1,6 @@
 // Engine self-profiler content checks: a profiled run must come back with a
 // populated ProfileSummary whose counters are consistent with the result it
-// rode along with -- sequential and sharded alike.  (Byte-identity of the
+// rode along with, on one shard and on many.  (Byte-identity of the
 // *results* under profiling lives in profile_parity_test.cpp.)
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@ SimConfig quick_profiled() {
   cfg.warmup_ns = 5'000;
   cfg.measure_ns = 20'000;
   cfg.seed = 7;
-  cfg.event_order = EventOrder::kCanonical;
   cfg.profile = true;
   return cfg;
 }
@@ -58,7 +57,7 @@ TEST(Profile, UnprofiledRunCarriesDisabledSummary) {
   EXPECT_EQ(r.profile, ProfileSummary{});
 }
 
-TEST(Profile, SequentialRunPopulatesDegenerateTaxonomy) {
+TEST(Profile, OneShardRunPopulatesTheWindowTaxonomy) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   const SimResult r =
@@ -69,17 +68,21 @@ TEST(Profile, SequentialRunPopulatesDegenerateTaxonomy) {
   EXPECT_TRUE(p.enabled);
   EXPECT_EQ(p.shards, 1u);
   EXPECT_EQ(p.threads, 1u);
-  // Sequential runs have no windows, barriers, mailboxes or handoffs.
-  EXPECT_EQ(p.windows, 0u);
+  // One shard runs the same window loop: with no sampler, stream or
+  // control plane the whole run is a single window of unbounded lookahead,
+  // and nothing crosses a shard boundary.
+  EXPECT_EQ(p.windows, 1u);
+  EXPECT_EQ(p.control_steps, 0u);
   EXPECT_EQ(p.handoff_messages, 0u);
-  EXPECT_EQ(p.barrier_wait_ns, 0u);
-  EXPECT_EQ(p.mailbox_ns, 0u);
-  EXPECT_DOUBLE_EQ(p.barrier_wait_fraction(), 0.0);
-  // But the shared taxonomy is there: one shard phase, the whole run loop.
+  EXPECT_EQ(p.window_ns_min, p.window_ns_max);
+  EXPECT_DOUBLE_EQ(p.max_imbalance, 1.0);
+  // The only "barrier" is the loop's own bookkeeping around the drain.
+  EXPECT_LT(p.barrier_wait_fraction(), 0.5);
   ASSERT_EQ(p.shard_phases.size(), 1u);
   EXPECT_EQ(p.shard_phases[0].events_processed, r.events_processed);
-  EXPECT_EQ(p.shard_phases[0].barrier_wait_ns, 0u);
+  EXPECT_EQ(p.shard_phases[0].handoffs_out, 0u);
   EXPECT_GT(p.total_wall_ns, 0u);
+  EXPECT_GE(p.total_wall_ns, p.processing_ns);
   EXPECT_EQ(p.processing_ns, p.shard_phases[0].processing_ns);
   // Queue op counters come from the engine's own EventQueueStats.
   EXPECT_EQ(p.queue_pops, r.events_processed);
@@ -107,8 +110,8 @@ TEST(Profile, ShardedRunPopulatesWindowAndImbalanceStats) {
     EXPECT_GE(p.window_ns_max, p.window_ns_min);
     EXPECT_GE(p.window_ns_mean, static_cast<double>(p.window_ns_min));
     EXPECT_LE(p.window_ns_mean, static_cast<double>(p.window_ns_max));
-    // Per-shard events must sum to the fleet total minus the driver's
-    // control-queue dispatches.
+    // Per-shard events must sum to the fleet total minus the control-queue
+    // dispatches.
     std::uint64_t shard_events = 0;
     std::uint64_t handoffs = 0;
     for (const ShardPhaseProfile& s : p.shard_phases) {

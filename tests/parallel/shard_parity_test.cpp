@@ -1,38 +1,53 @@
-// Acceptance gate for the sharded conservative-sync engine: for every shard
-// count and every thread count, a sharded run must produce results
-// bit-identical to a sequential run under the canonical event order --
-// open-loop, burst, live-SM fault, and congestion-control scenarios alike.
-// Comparison goes through the JSON export, which serializes every public
-// result field (including Welford-derived latency moments, so float rounding
-// is part of the contract).
+// Acceptance gate for the sharded conservative-sync engine: every shard
+// count and every thread count must produce results bit-identical to the
+// one-shard run -- open-loop, burst, live-SM fault, and congestion-control
+// scenarios alike.  Comparison goes through the JSON export, which
+// serializes every public result field (including Welford-derived latency
+// moments, so float rounding is part of the contract).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "harness/report.hpp"
+#include "obs/stream.hpp"
 #include "parallel/sharded.hpp"
 #include "sim/engine.hpp"
 
 namespace mlid {
 namespace {
 
-SimConfig quick_canonical() {
+SimConfig quick_cfg() {
   SimConfig cfg;
   cfg.warmup_ns = 5'000;
   cfg.measure_ns = 20'000;
   cfg.seed = 3;
-  // The sequential oracle must use the same dispatch order the sharded
-  // engine forces internally; kFifo ties depend on scheduling order, which
-  // no partitioned run can reproduce.
-  cfg.event_order = EventOrder::kCanonical;
   return cfg;
+}
+
+constexpr std::uint32_t kShardCounts[] = {1, 2, 4};
+constexpr std::uint32_t kThreadCounts[] = {1, 2, 4};
+
+/// Asserts `run(par)` serializes identically for every shards x threads
+/// combination; the {1, 1} run is the reference.
+template <typename Run>
+void expect_identity_across_shards_and_threads(Run run) {
+  const std::string reference = to_json(run(ShardOptions{1, 1}));
+  for (const std::uint32_t shards : kShardCounts) {
+    for (const std::uint32_t threads : kThreadCounts) {
+      EXPECT_EQ(reference, to_json(run(ShardOptions{shards, threads})))
+          << "shards " << shards << " threads " << threads;
+    }
+  }
 }
 
 TEST(ShardParity, CanonicalOrderIsContentDetermined) {
   // Same-timestamp events must pop in (kind, dev, port, vl, corder) order
   // regardless of push order, on both queue structures.
   for (const auto kind : {EventQueueKind::kHeap, EventQueueKind::kLadder}) {
-    EventQueue q(kind, EventOrder::kCanonical);
+    EventQueue q(kind);
     q.push(10, EventKind::kTailOut, 2, 1);
     q.push(10, EventKind::kHeadArrive, 5, 1);
     q.push(10, EventKind::kHeadArrive, 3, 2, 0, kInvalidPacket, 1);
@@ -62,35 +77,16 @@ TEST(ShardParity, OpenLoopRunsAreBitIdentical) {
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
   for (const double load : {0.2, 0.6, 0.9}) {
-    const SimResult oracle =
-        Simulation::open_loop(subnet, quick_canonical(), traffic, load).run();
-    EXPECT_GT(oracle.packets_delivered, 0u);
-    for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(load);
+    expect_identity_across_shards_and_threads([&](ShardOptions par) {
       ShardedSimulation sim = ShardedSimulation::open_loop(
-          subnet, quick_canonical(), traffic, load, {shards, 0});
-      EXPECT_EQ(sim.num_shards(), shards);
-      const SimResult sharded = sim.run();
-      EXPECT_EQ(to_json(oracle), to_json(sharded))
-          << "load " << load << " shards " << shards;
-    }
-  }
-}
-
-TEST(ShardParity, ThreadCountDoesNotChangeResults) {
-  // Threads only change which worker drains which shard queue; any count
-  // must reproduce the oracle bit-for-bit.
-  const FatTreeFabric fabric{FatTreeParams(4, 3)};
-  const Subnet subnet(fabric, "MLID");
-  const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
-  const SimResult oracle =
-      Simulation::open_loop(subnet, quick_canonical(), traffic, 0.6).run();
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    ShardedSimulation sim = ShardedSimulation::open_loop(
-        subnet, quick_canonical(), traffic, 0.6, {4, threads});
-    const SimResult sharded = sim.run();
-    EXPECT_GE(sim.threads_used(), 1u);
-    EXPECT_LE(sim.threads_used(), 4u);
-    EXPECT_EQ(to_json(oracle), to_json(sharded)) << "threads " << threads;
+          subnet, quick_cfg(), traffic, load, par);
+      EXPECT_EQ(sim.num_shards(), par.shards);
+      EXPECT_LE(sim.threads_used(), par.shards);
+      const SimResult r = sim.run();
+      EXPECT_GT(r.packets_delivered, 0u);
+      return r;
+    });
   }
 }
 
@@ -98,28 +94,22 @@ TEST(ShardParity, BurstRunsAreBitIdentical) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   const auto workload = all_to_all_personalized(16, 512);
-  const BurstResult oracle =
-      Simulation::burst(subnet, quick_canonical(), workload)
-          .run_to_completion();
-  EXPECT_GT(oracle.messages, 0u);
-  EXPECT_EQ(oracle.events_processed, oracle.events_scheduled);
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    const BurstResult sharded =
-        ShardedSimulation::burst(subnet, quick_canonical(), workload,
-                                 {shards, 0})
+  expect_identity_across_shards_and_threads([&](ShardOptions par) {
+    const BurstResult r =
+        ShardedSimulation::burst(subnet, quick_cfg(), workload, par)
             .run_to_completion();
-    EXPECT_EQ(to_json(oracle), to_json(sharded)) << "shards " << shards;
-    EXPECT_EQ(sharded.events_processed, sharded.events_scheduled)
-        << "shards " << shards;
-  }
+    EXPECT_GT(r.messages, 0u);
+    EXPECT_EQ(r.events_processed, r.events_scheduled);
+    return r;
+  });
 }
 
 TEST(ShardParity, LiveSmFaultRunsAreBitIdentical) {
   // The control plane (faults, traps, sweeps, LFT programs) runs as
-  // sequential global steps inside the sharded driver; its effects must
-  // land identically to the sequential dispatch loop.
+  // sequential global steps inside the driver; its effects must land
+  // identically on any partition.
   const FatTreeParams params(4, 3);
-  auto run = [&](std::uint32_t shards) {
+  expect_identity_across_shards_and_threads([&](ShardOptions par) {
     FatTreeFabric fabric{params};
     const Subnet subnet(fabric, "MLID");
     SubnetManager sm(fabric, subnet);
@@ -127,22 +117,15 @@ TEST(ShardParity, LiveSmFaultRunsAreBitIdentical) {
         fabric, /*count=*/2, /*fail_at=*/8'000, /*seed=*/5, /*recover_at=*/
         18'000);
     const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 4};
-    if (shards == 0) {
-      return Simulation::open_loop(subnet, quick_canonical(), traffic, 0.6,
-                                   {&sm, faults})
-          .run();
-    }
-    return ShardedSimulation::open_loop(subnet, quick_canonical(), traffic,
-                                        0.6, {shards, 0}, {&sm, faults})
-        .run();
-  };
-  const SimResult oracle = run(0);
-  // Meaningful scenario: the fault machinery actually fired.
-  EXPECT_GT(oracle.sm_traps, 0u);
-  EXPECT_GT(oracle.packets_dropped, 0u);
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    EXPECT_EQ(to_json(oracle), to_json(run(shards))) << "shards " << shards;
-  }
+    const SimResult r = ShardedSimulation::open_loop(subnet, quick_cfg(),
+                                                     traffic, 0.6, par,
+                                                     {&sm, faults})
+                            .run();
+    // Meaningful scenario: the fault machinery actually fired.
+    EXPECT_GT(r.sm_traps, 0u);
+    EXPECT_GT(r.packets_dropped, 0u);
+    return r;
+  });
 }
 
 TEST(ShardParity, CongestionControlRunsAreBitIdentical) {
@@ -151,20 +134,17 @@ TEST(ShardParity, CongestionControlRunsAreBitIdentical) {
   // BECN echo delay and the owner-exclusive CC state merges at the end.
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
-  SimConfig cfg = quick_canonical();
+  SimConfig cfg = quick_cfg();
   cfg.cc.enabled = true;
   // Hot-spot traffic so FECN marking actually triggers.
   const TrafficConfig traffic{TrafficKind::kCentric, 0.4, 3, 9};
-  const SimResult oracle =
-      Simulation::open_loop(subnet, cfg, traffic, 0.9).run();
-  EXPECT_GT(oracle.cc.fecn_marked, 0u);
-  EXPECT_GT(oracle.cc.becn_sent, 0u);
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    const SimResult sharded =
-        ShardedSimulation::open_loop(subnet, cfg, traffic, 0.9, {shards, 0})
-            .run();
-    EXPECT_EQ(to_json(oracle), to_json(sharded)) << "shards " << shards;
-  }
+  expect_identity_across_shards_and_threads([&](ShardOptions par) {
+    const SimResult r =
+        ShardedSimulation::open_loop(subnet, cfg, traffic, 0.9, par).run();
+    EXPECT_GT(r.cc.fecn_marked, 0u);
+    EXPECT_GT(r.cc.becn_sent, 0u);
+    return r;
+  });
 }
 
 TEST(ShardParity, QueueStatsAccountForEveryEvent) {
@@ -172,11 +152,91 @@ TEST(ShardParity, QueueStatsAccountForEveryEvent) {
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
   ShardedSimulation sim = ShardedSimulation::open_loop(
-      subnet, quick_canonical(), traffic, 0.6, {4, 0});
+      subnet, quick_cfg(), traffic, 0.6, {4, 0});
   const SimResult r = sim.run();
   const EventQueueStats stats = sim.queue_stats();
   EXPECT_EQ(stats.events_scheduled, r.events_scheduled);
   EXPECT_EQ(stats.events_processed, r.events_processed);
+}
+
+// Simulation::run is the one-shard case of the same driver: with every
+// observer on (live SM with faults, CC, sampler, metrics stream, profile)
+// it must serialize exactly like ShardedSimulation{1, 1}.
+TEST(ShardParity, SimulationIsTheOneShardCase) {
+  const FatTreeParams params(4, 3);
+  SimConfig cfg = quick_cfg();
+  cfg.cc.enabled = true;
+  cfg.sample_interval_ns = 1'000;
+  cfg.profile = true;
+  const TrafficConfig traffic{TrafficKind::kCentric, 0.4, 3, 9};
+  const auto run = [&](bool sharded) {
+    FatTreeFabric fabric{params};
+    const Subnet subnet(fabric, "MLID");
+    SubnetManager sm(fabric, subnet);
+    MetricsStreamer stream(::testing::TempDir() + "/one_shard_" +
+                               std::to_string(sharded) + ".jsonl",
+                           3'000);
+    OpenLoopOptions options;
+    options.live_sm = &sm;
+    options.faults = FaultSchedule::random_uplink_failures(
+        fabric, /*count=*/2, /*fail_at=*/8'000, /*seed=*/5,
+        /*recover_at=*/18'000);
+    options.metrics = &stream;
+    SimResult r =
+        sharded ? ShardedSimulation::open_loop(subnet, cfg, traffic, 0.9,
+                                               {1, 1}, options)
+                      .run()
+                : Simulation::open_loop(subnet, cfg, traffic, 0.9, options)
+                      .run();
+    EXPECT_TRUE(r.profile.enabled);
+    EXPECT_FALSE(r.timeline.samples.empty());
+    EXPECT_GT(r.sm_traps, 0u);
+    EXPECT_GT(r.cc.becn_sent, 0u);
+    r.profile = ProfileSummary{};  // host wall times
+    return to_json(r);
+  };
+  EXPECT_EQ(run(false), run(true));
+
+  const FatTreeFabric fabric{params};
+  const Subnet subnet(fabric, "MLID");
+  const auto workload = all_to_all_personalized(16, 512);
+  EXPECT_EQ(to_json(Simulation::burst(subnet, quick_cfg(), workload)
+                        .run_to_completion()),
+            to_json(ShardedSimulation::burst(subnet, quick_cfg(), workload,
+                                             {1, 1})
+                        .run_to_completion()));
+}
+
+// A ShardedSimulation is returned by value, so it must survive a move: the
+// shards own their outboxes and read the partition from the heap.
+TEST(ShardParity, MovedDriversMatchUnmovedRuns) {
+  const FatTreeFabric fabric{FatTreeParams(4, 3)};
+  const Subnet subnet(fabric, "MLID");
+  const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
+  const ShardOptions par{4, 2};
+
+  const SimResult unmoved =
+      ShardedSimulation::open_loop(subnet, quick_cfg(), traffic, 0.6, par)
+          .run();
+  std::optional<ShardedSimulation> open;
+  {
+    ShardedSimulation built =
+        ShardedSimulation::open_loop(subnet, quick_cfg(), traffic, 0.6, par);
+    open.emplace(std::move(built));
+  }
+  EXPECT_EQ(to_json(unmoved), to_json(open->run()));
+
+  const auto workload = all_to_all_personalized(16, 512);
+  const BurstResult unmoved_burst =
+      ShardedSimulation::burst(subnet, quick_cfg(), workload, par)
+          .run_to_completion();
+  std::optional<ShardedSimulation> burst;
+  {
+    ShardedSimulation built =
+        ShardedSimulation::burst(subnet, quick_cfg(), workload, par);
+    burst.emplace(std::move(built));
+  }
+  EXPECT_EQ(to_json(unmoved_burst), to_json(burst->run_to_completion()));
 }
 
 }  // namespace

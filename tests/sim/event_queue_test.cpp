@@ -29,13 +29,24 @@ TEST_P(EventQueueTest, PopsInTimeOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST_P(EventQueueTest, SimultaneousEventsPopInInsertionOrder) {
+TEST_P(EventQueueTest, SimultaneousEventsPopInContentOrder) {
   EventQueue q = make();
-  for (DeviceId dev = 0; dev < 10; ++dev) {
+  for (DeviceId dev = 10; dev-- > 0;) {
     q.push(5, EventKind::kTryTx, dev);
   }
   for (DeviceId dev = 0; dev < 10; ++dev) {
     EXPECT_EQ(q.pop().dev, dev);
+  }
+}
+
+TEST_P(EventQueueTest, FullyTiedEventsPopInInsertionOrder) {
+  // Equal content keys are commutative; seq keeps the order deterministic.
+  EventQueue q = make();
+  for (PacketId pkt = 0; pkt < 10; ++pkt) {
+    q.push(5, EventKind::kCreditArrive, 3, 1, 0, pkt);
+  }
+  for (PacketId pkt = 0; pkt < 10; ++pkt) {
+    EXPECT_EQ(q.pop().pkt, pkt);
   }
 }
 

@@ -5,6 +5,7 @@
 // structures and shard counts.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/expect.hpp"
@@ -134,23 +135,41 @@ TEST(VlMap, IdentityAndKeyedMapsStayInRange) {
 
 // ---- engine-level determinism and invariants ------------------------------
 
-SimConfig adaptive_canonical() {
+SimConfig adaptive_cfg() {
   SimConfig cfg;
   cfg.warmup_ns = 5'000;
   cfg.measure_ns = 20'000;
   cfg.seed = 17;
   cfg.policy.forwarding = "adaptive";
-  cfg.event_order = EventOrder::kCanonical;
   return cfg;
+}
+
+/// Asserts a run serializes identically for every shards x threads
+/// combination ({1, 1} is the reference).
+void expect_identity_across_shards(const Subnet& subnet, const SimConfig& cfg,
+                                   const TrafficConfig& traffic,
+                                   double load) {
+  const auto run = [&](ShardOptions par) {
+    return ShardedSimulation::open_loop(subnet, cfg, traffic, load, par).run();
+  };
+  const SimResult reference = run({1, 1});
+  EXPECT_GT(reference.packets_delivered, 0u);
+  const std::string want = to_json(reference);
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      EXPECT_EQ(want, to_json(run({shards, threads})))
+          << "shards " << shards << " threads " << threads;
+    }
+  }
 }
 
 TEST(PolicyParity, AdaptiveHeapAndLadderQueuesAgreeByteForByte) {
   const FatTreeFabric fabric{FatTreeParams(8, 2)};
   const Subnet subnet(fabric, "SLID");
   const TrafficConfig traffic{TrafficKind::kCentric, 0.2, 0, 23};
-  SimConfig heap = adaptive_canonical();
+  SimConfig heap = adaptive_cfg();
   heap.event_queue = EventQueueKind::kHeap;
-  SimConfig ladder = adaptive_canonical();
+  SimConfig ladder = adaptive_cfg();
   ladder.event_queue = EventQueueKind::kLadder;
   const SimResult a = Simulation::open_loop(subnet, heap, traffic, 0.8).run();
   const SimResult b = Simulation::open_loop(subnet, ladder, traffic, 0.8).run();
@@ -158,7 +177,7 @@ TEST(PolicyParity, AdaptiveHeapAndLadderQueuesAgreeByteForByte) {
   EXPECT_EQ(to_json(a), to_json(b));
 }
 
-TEST(PolicyParity, AdaptiveShardedRunsMatchTheSequentialOracle) {
+TEST(PolicyParity, AdaptiveShardedRunsMatchOneShard) {
   // The occupancy/credit signals a policy reads are the owning shard's own
   // arrays (device state never splits across shards), so the adaptive
   // policy must hold the same shard-parity contract as the deterministic
@@ -166,30 +185,17 @@ TEST(PolicyParity, AdaptiveShardedRunsMatchTheSequentialOracle) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kCentric, 0.2, 0, 23};
-  const SimResult oracle =
-      Simulation::open_loop(subnet, adaptive_canonical(), traffic, 0.7).run();
-  EXPECT_GT(oracle.packets_delivered, 0u);
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
-    ShardedSimulation sim = ShardedSimulation::open_loop(
-        subnet, adaptive_canonical(), traffic, 0.7, {shards, 0});
-    EXPECT_EQ(to_json(oracle), to_json(sim.run())) << "shards " << shards;
-  }
+  expect_identity_across_shards(subnet, adaptive_cfg(), traffic, 0.7);
 }
 
-TEST(PolicyParity, VlMapShardedRunsMatchTheSequentialOracle) {
+TEST(PolicyParity, VlMapShardedRunsMatchOneShard) {
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   const TrafficConfig traffic{TrafficKind::kUniform, 0.0, 0, 29};
-  SimConfig cfg = adaptive_canonical();
+  SimConfig cfg = adaptive_cfg();
   cfg.num_vls = 4;
   cfg.policy.vl_map = "flow-hash";
-  const SimResult oracle =
-      Simulation::open_loop(subnet, cfg, traffic, 0.6).run();
-  for (const std::uint32_t shards : {2u, 4u}) {
-    ShardedSimulation sim =
-        ShardedSimulation::open_loop(subnet, cfg, traffic, 0.6, {shards, 0});
-    EXPECT_EQ(to_json(oracle), to_json(sim.run())) << "shards " << shards;
-  }
+  expect_identity_across_shards(subnet, cfg, traffic, 0.6);
 }
 
 TEST(PolicyParity, TelemetryDoesNotChangeAdaptiveResults) {
@@ -198,7 +204,7 @@ TEST(PolicyParity, TelemetryDoesNotChangeAdaptiveResults) {
   const FatTreeFabric fabric{FatTreeParams(8, 2)};
   const Subnet subnet(fabric, "SLID");
   const TrafficConfig traffic{TrafficKind::kCentric, 0.2, 0, 31};
-  SimConfig on = adaptive_canonical();
+  SimConfig on = adaptive_cfg();
   on.cc.enabled = true;
   SimConfig off = on;
   off.telemetry = false;
@@ -219,7 +225,7 @@ TEST(PolicyInvariants, AdaptivePathsStayMinimal) {
   for (const auto& [m, n] : {std::pair{4, 3}, std::pair{8, 2}}) {
     const FatTreeFabric fabric{FatTreeParams(m, n)};
     const Subnet subnet(fabric, "SLID");
-    SimConfig cfg = adaptive_canonical();
+    SimConfig cfg = adaptive_cfg();
     const TrafficConfig traffic{TrafficKind::kCentric, 0.2, 0, 37};
     const SimResult r = Simulation::open_loop(subnet, cfg, traffic, 0.9).run();
     EXPECT_GT(r.packets_delivered, 0u);
@@ -233,7 +239,7 @@ TEST(PolicyInvariants, VlMapDeliveriesLandOnTheMappedLanes) {
   // four lanes carry traffic and per-VL delivery is deterministic.
   const FatTreeFabric fabric{FatTreeParams(4, 2)};
   const Subnet subnet(fabric, "MLID");
-  SimConfig cfg = adaptive_canonical();
+  SimConfig cfg = adaptive_cfg();
   cfg.policy.forwarding = "deterministic";
   cfg.num_vls = 4;
   cfg.policy.vl_map = "dest-mod";

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 
 #include "harness/report.hpp"
 #include "parallel/sharded.hpp"
@@ -93,23 +94,27 @@ TEST(ScenarioParity, VlBindingPinsEachTenantToItsLane) {
   EXPECT_EQ(on_vls, r.packets_measured);
 }
 
-TEST(ScenarioParity, ShardedTenantAccountingMatchesSequential) {
-  // Tenant books are fed from the canonical delivery-log replay, so the
-  // sharded engine must reproduce them exactly.
+TEST(ScenarioParity, ShardedTenantAccountingMatchesOneShard) {
+  // Tenant books are fed from the delivery-log replay, so every partition
+  // and thread count must reproduce the one-shard books exactly.
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 47};
   traffic.tenants = 4;
   SimConfig cfg = small_cfg();
   cfg.tenants.count = 4;
-  cfg.event_order = EventOrder::kCanonical;
 
-  const SimResult seq = run_once(subnet, cfg, traffic);
-  const SimResult sharded =
-      ShardedSimulation::open_loop(subnet, cfg, traffic, 0.5,
-                                   {/*shards=*/2, /*threads=*/1})
-          .run();
-  EXPECT_EQ(to_json(seq), to_json(sharded));
+  const std::string reference = to_json(run_once(subnet, cfg, traffic));
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      const SimResult sharded = ShardedSimulation::open_loop(
+                                    subnet, cfg, traffic, 0.5,
+                                    {shards, threads})
+                                    .run();
+      EXPECT_EQ(reference, to_json(sharded))
+          << "shards " << shards << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace
