@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   for (int cc_on = 0; cc_on < 2; ++cc_on) {
     for (int s = 0; s < 2; ++s) {
       for (int p = 0; p < 2; ++p) {
-        SimConfig cfg = base_cfg(policy_names[p], "none");
+        SimConfig cfg = base_cfg(policy_names[p], "random");
         cfg.cc.enabled = cc_on == 1;
         const std::string series = std::string(cc_on ? "cc" : "nocc") + "/" +
                                    scheme_names[s] + "/" + policy_names[p];
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   TextTable vl_table({"scheme", "vl map", "accepted B/ns/node",
                       "avg latency ns", "p99 ns"});
   for (int s = 0; s < 2; ++s) {
-    for (const char* vl_map : {"none", "dest-mod", "flow-hash"}) {
+    for (const char* vl_map : {"random", "dest-mod", "flow-hash"}) {
       SimConfig cfg = base_cfg("deterministic", vl_map);
       cfg.num_vls = 4;
       const SimResult r =

@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
   for (const int w0 : {1, 2, 4, 8}) {
     SimConfig cfg;
     cfg.num_vls = 2;
-    cfg.vl_policy = VlPolicy::kBySource;  // parity-based classes
+    cfg.policy.vl_map = "src-mod";  // parity-based classes
     cfg.vl_weights = {w0, 1};
     // Depth > 1 so per-VL credits don't force strict alternation (with
     // single-packet buffers a VL is never eligible twice in a row and the

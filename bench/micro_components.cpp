@@ -14,14 +14,11 @@
 #include "routing/load_analysis.hpp"
 #include "routing/path.hpp"
 #include "sim/engine.hpp"
+#include "../tests/sim/heap_event_queue.hpp"
 
 namespace {
 
 using namespace mlid;
-
-// Queue kind the simulation-level benchmarks run on (set by --event-queue;
-// BM_EventQueuePushPop always measures both kinds side by side).
-EventQueueKind g_queue_kind = EventQueueKind::kLadder;
 
 void BM_LftLookup(benchmark::State& state) {
   const FatTreeParams p(8, 3);
@@ -72,9 +69,11 @@ void BM_SelectDlid(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectDlid);
 
+// The engine's ladder queue raced against the heap oracle it is tested
+// against: same push stream, same pop order.
+template <typename Queue>
 void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto kind = static_cast<EventQueueKind>(state.range(0));
-  EventQueue q(kind);
+  Queue q;
   SimTime t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
@@ -86,11 +85,9 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     t += 1000;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-  state.SetLabel(std::string(to_string(kind)));
 }
-BENCHMARK(BM_EventQueuePushPop)
-    ->Arg(static_cast<int>(EventQueueKind::kHeap))
-    ->Arg(static_cast<int>(EventQueueKind::kLadder));
+BENCHMARK(BM_EventQueuePushPop<HeapEventQueue>);
+BENCHMARK(BM_EventQueuePushPop<EventQueue>);
 
 void BM_TracePath(benchmark::State& state) {
   const FatTreeFabric fabric{FatTreeParams(8, 3)};
@@ -123,7 +120,6 @@ void BM_SimulationEventsPerSecond(benchmark::State& state) {
   SimConfig cfg;
   cfg.warmup_ns = 2'000;
   cfg.measure_ns = 20'000;
-  cfg.event_queue = g_queue_kind;
   std::uint64_t events = 0;
   std::uint64_t seed = 1;
   for (auto _ : state) {
@@ -146,7 +142,6 @@ void BM_BurstAllToAll(benchmark::State& state) {
   std::uint64_t packets = 0;
   for (auto _ : state) {
     SimConfig cfg;
-    cfg.event_queue = g_queue_kind;
     Simulation sim = Simulation::burst(subnet, cfg, workload);
     const BurstResult r = sim.run_to_completion();
     packets += r.packets;
@@ -173,10 +168,9 @@ BENCHMARK(BM_LoadAnalysisPredict);
 
 namespace {
 
-// One timed smoke simulation on the given queue kind, reported as its own
-// labeled series with the manifest carrying events/sec and queue internals.
-mlid::SimResult run_smoke(mlid::BenchReport& report,
-                          mlid::EventQueueKind kind) {
+// One timed smoke simulation, reported as its own labeled series with the
+// manifest carrying events/sec and queue internals.
+void run_smoke(mlid::BenchReport& report) {
   using namespace mlid;
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
@@ -184,7 +178,6 @@ mlid::SimResult run_smoke(mlid::BenchReport& report,
   cfg.warmup_ns = 2'000;
   cfg.measure_ns = 20'000;
   cfg.seed = 2;
-  cfg.event_queue = kind;
   const auto start = std::chrono::steady_clock::now();
   Simulation sim = Simulation::open_loop(
       subnet, cfg, {TrafficKind::kUniform, 0.2, 0, 2}, 0.6);
@@ -201,22 +194,17 @@ mlid::SimResult run_smoke(mlid::BenchReport& report,
   manifest.events_per_sec =
       wall > 0.0 ? static_cast<double>(r.events_processed) / wall : 0.0;
   manifest.queue = sim.queue_stats();
-  report.add(std::string("smoke/MLID/4-port-3-tree/") +
-                 std::string(to_string(kind)),
-             r, manifest);
-  return r;
+  report.add("smoke/MLID/4-port-3-tree", r, manifest);
 }
 
 }  // namespace
 
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark keeps its own
 // flag language (--benchmark_filter etc. -- CliOptions would reject it), so
-// the harness flags this binary understands (--quick, --event-queue=K) are
-// stripped from argv before benchmark::Initialize sees them.  After the
-// benchmarks we emit the standard BENCH json with one labeled smoke
-// simulation per queue kind -- asserted bit-identical -- so this binary's
-// output is schema-compatible with every other bench and lets CI compare
-// heap vs ladder events/sec from a single file.
+// the harness flag this binary understands (--quick) is stripped from argv
+// before benchmark::Initialize sees it.  After the benchmarks we emit the
+// standard BENCH json with one labeled smoke simulation, so this binary's
+// output is schema-compatible with every other bench.
 int main(int argc, char** argv) {
   bool quick = false;
   std::vector<char*> args;
@@ -226,22 +214,6 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--quick") {
       quick = true;
-    } else if (arg.rfind("--event-queue", 0) == 0) {
-      std::string_view value;
-      if (arg.size() > 13 && arg[13] == '=') {
-        value = arg.substr(14);
-      } else if (arg.size() == 13 && i + 1 < argc) {
-        value = argv[++i];
-      }
-      const auto kind = event_queue_from_string(value);
-      if (!kind) {
-        std::fprintf(stderr,
-                     "error: invalid value '%.*s' for --event-queue "
-                     "(expected heap or ladder)\n",
-                     static_cast<int>(value.size()), value.data());
-        return 2;
-      }
-      g_queue_kind = *kind;
     } else {
       args.push_back(argv[i]);
     }
@@ -260,12 +232,7 @@ int main(int argc, char** argv) {
 
   BenchReport report(bench_name_from_path(argv[0]), /*seed=*/1,
                      /*threads=*/1, quick);
-  const SimResult heap = run_smoke(report, EventQueueKind::kHeap);
-  const SimResult ladder = run_smoke(report, EventQueueKind::kLadder);
-  // The queue kind is pure mechanism: any divergence here is a determinism
-  // bug in the ladder queue, not a tuning difference.
-  MLID_EXPECT(to_json(heap) == to_json(ladder),
-              "heap and ladder smoke runs must be bit-identical");
+  run_smoke(report);
   std::printf("\n(wrote %s)\n", report.write().c_str());
   return 0;
 }

@@ -25,10 +25,8 @@ constexpr std::string_view kUsage =
     "                     PATH.json\n"
     "  --threads=N        worker threads for the sweep (N >= 1; omit the\n"
     "                     flag to use the hardware concurrency)\n"
-    "  --shards=N         engine shards per simulation (N >= 1; >1 runs the\n"
-    "                     sharded conservative-sync engine, which forces the\n"
-    "                     canonical event order)\n"
-    "  --event-queue=K    pending-event structure: heap | ladder\n"
+    "  --shards=N         engine shards per simulation (N >= 1; results are\n"
+    "                     byte-identical for any N, only wall time changes)\n"
     "  --scheme=NAME      routing scheme, by registry name (see the\n"
     "                     'registered schemes' line below)\n"
     "  --scenario=NAME    production scenario, by registry name (see the\n"
@@ -183,13 +181,6 @@ CliOptions::CliOptions(int argc, char** argv) {
                     "' for --vl-map (registered: " + vl_map_listing() + ")");
       }
       vl_map_ = std::string(value);
-    } else if (flag_value(argc, argv, i, "--event-queue", value)) {
-      const auto kind = event_queue_from_string(value);
-      if (!kind) {
-        usage_error("invalid value '" + std::string(value) +
-                    "' for --event-queue (expected heap or ladder)");
-      }
-      event_queue_ = *kind;
     } else if (arg == "--cc") {
       cc_ = true;
     } else if (flag_value(argc, argv, i, "--cc-threshold", value)) {
@@ -254,6 +245,18 @@ CliOptions::CliOptions(int argc, char** argv) {
           "--shards=1) to record packet timelines");
     }
   }
+  if (fail_links_ < 0) usage_error("--fail-links cannot be negative");
+  // Check the parsed values the way the engine will, so a bad one exits 2
+  // here instead of throwing from a sweep worker mid-run.  The CC value
+  // flags are checked even without --cc.
+  FigureSpec probe;
+  apply(probe);
+  probe.sim.cc = cc_values();
+  try {
+    probe.sim.validate();
+  } catch (const ContractViolation& e) {
+    usage_error(e.what());
+  }
 }
 
 SweepOptions CliOptions::sweep_options() const {
@@ -262,7 +265,6 @@ SweepOptions CliOptions::sweep_options() const {
   options.shards = shards_;
   options.quick = quick_;
   if (!telemetry_) options.telemetry = false;
-  options.event_queue = event_queue_;
   options.cc = cc();
   options.sample_interval_ns = sample_interval_ns_;
   options.profile = profile_;

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "cc/config.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/fault_schedule.hpp"
 
 namespace mlid {
@@ -26,9 +25,8 @@ class MetricsStreamer;
 ///                      PATH.csv / PATH.json
 ///   --threads=N        worker threads for the sweep (N >= 1; omitting the
 ///                      flag picks the hardware concurrency)
-///   --shards=N         engine shards per simulation (N >= 1; >1 runs the
-///                      sharded conservative-sync engine)
-///   --event-queue=K    pending-event structure: heap | ladder
+///   --shards=N         engine shards per simulation (N >= 1; results are
+///                      byte-identical for any N)
 ///   --scheme=NAME      routing scheme by SchemeRegistry name (any
 ///                      registered scheme; validated at parse time)
 ///   --scenario=NAME    production scenario by ScenarioRegistry name
@@ -62,9 +60,12 @@ class MetricsStreamer;
 /// (`--fail-links 4`, `--cc-threshold 3`).
 ///
 /// Parsing is strict: numeric values must consume the whole token
-/// (`--seed=abc` and `--threads=4x` are fatal, not silently 0 / 4), and an
+/// (`--seed=abc` and `--threads=4x` are fatal, not silently 0 / 4), an
 /// unrecognized `--flag` exits 2 with a diagnostic listing the known flags
-/// instead of being swallowed as a positional argument.
+/// instead of being swallowed as a positional argument, and the parsed
+/// values must pass SimConfig/CcConfig validation (`--trace-stride=0`,
+/// `--cc-timer-ns=0`, `--vl-map=tenant` without tenants, a negative
+/// `--fail-links` all exit 2 here rather than abort mid-run).
 class CliOptions {
  public:
   CliOptions(int argc, char** argv);
@@ -76,10 +77,6 @@ class CliOptions {
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
   [[nodiscard]] unsigned shards() const noexcept { return shards_; }
-  /// Queue kind from --event-queue; nullopt = keep the spec's default.
-  [[nodiscard]] std::optional<EventQueueKind> event_queue() const noexcept {
-    return event_queue_;
-  }
   [[nodiscard]] bool telemetry() const noexcept { return telemetry_; }
   /// Scheme name from --scheme; nullopt = keep the binary's scheme grid.
   /// Always a registered name (unknown values exit 2 during parsing).
@@ -104,11 +101,7 @@ class CliOptions {
   /// nullopt without --cc (the value flags tune the config --cc enables).
   [[nodiscard]] std::optional<CcConfig> cc() const noexcept {
     if (!cc_) return std::nullopt;
-    CcConfig config;
-    config.enabled = true;
-    if (cc_threshold_) config.fecn_threshold_pkts = *cc_threshold_;
-    if (cc_timer_ns_) config.timer_ns = *cc_timer_ns_;
-    return config;
+    return cc_values();
   }
   /// Sampler cadence from --sample-interval-ns; nullopt = keep the
   /// binary's default (most default to off, the ablation benches to 1 us).
@@ -160,12 +153,12 @@ class CliOptions {
   [[nodiscard]] FaultSchedule fault_schedule(const FatTreeFabric& fabric) const;
 
   /// The run_sweep execution knobs these flags describe (threads, quick,
-  /// --no-telemetry, --event-queue).
+  /// --no-telemetry, --cc, --sample-interval-ns, --profile).
   [[nodiscard]] SweepOptions sweep_options() const;
 
   /// Apply the flags that change the *figure definition* to a spec: seeds
   /// always, plus quick-mode shrinking and the sim-config overrides
-  /// (--event-queue, --no-telemetry) for binaries that run simulations
+  /// (--no-telemetry, --cc, ...) for binaries that run simulations
   /// directly rather than through run_sweep.
   template <typename FigureSpecT>
   void apply(FigureSpecT& spec) const {
@@ -177,7 +170,6 @@ class CliOptions {
     if (policy_) spec.sim.policy.forwarding = *policy_;
     if (vl_map_) spec.sim.policy.vl_map = *vl_map_;
     if (!telemetry_) spec.sim.telemetry = false;
-    if (event_queue_) spec.sim.event_queue = *event_queue_;
     if (const auto cc_cfg = cc()) spec.sim.cc = *cc_cfg;
     if (sample_interval_ns_) spec.sim.sample_interval_ns = *sample_interval_ns_;
     if (trace_packets_) spec.sim.trace_packets = *trace_packets_;
@@ -195,6 +187,16 @@ class CliOptions {
   }
 
  private:
+  /// The CC config the value flags describe, enabled (cc() gates it on
+  /// --cc; parsing validates it either way).
+  [[nodiscard]] CcConfig cc_values() const noexcept {
+    CcConfig config;
+    config.enabled = true;
+    if (cc_threshold_) config.fecn_threshold_pkts = *cc_threshold_;
+    if (cc_timer_ns_) config.timer_ns = *cc_timer_ns_;
+    return config;
+  }
+
   bool quick_ = false;
   bool csv_ = false;
   bool json_ = false;
@@ -202,7 +204,6 @@ class CliOptions {
   std::uint64_t seed_ = 1;
   unsigned threads_ = 0;
   unsigned shards_ = 1;
-  std::optional<EventQueueKind> event_queue_;
   std::optional<std::string> scheme_;
   std::optional<std::string> scenario_;
   std::optional<std::string> policy_;

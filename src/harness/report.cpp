@@ -364,7 +364,6 @@ void emit_profile_summary(JsonWriter& json, const ProfileSummary& p) {
 
 void emit_queue_stats(JsonWriter& json, const EventQueueStats& q) {
   json.begin_object();
-  json.key("kind").value(to_string(q.kind));
   json.key("buckets").value(static_cast<std::uint64_t>(q.buckets));
   json.key("bucket_width_ns")
       .value(static_cast<std::int64_t>(q.bucket_width_ns));
@@ -541,6 +540,8 @@ std::string BenchReport::to_json() const {
 
   JsonWriter json;
   json.begin_object();
+  // v9: one event queue -- the manifest's "event_queue" block loses its
+  // "kind" key, and the default VL map is named "random" (was "none").
   // v8: engine self-profile -- every point manifest carries a "profile"
   // block (phase breakdown, barrier-wait fraction, imbalance; enabled ==
   // false with zero totals when the point ran unprofiled) and sim results
@@ -551,7 +552,7 @@ std::string BenchReport::to_json() const {
   // bytes_per_endport (engine hot state + compiled routing tables over
   // total fabric ports), the scale metric CI regresses on; v4 added the
   // actual parallelism (worker threads + engine shards) per point.
-  json.key("schema").value("mlid-bench-v8");
+  json.key("schema").value("mlid-bench-v9");
   json.key("name").value(name_);
   json.key("manifest").begin_object();
   json.key("git").value(git_describe());

@@ -56,7 +56,6 @@ std::vector<SweepPoint> run_sweep(const FigureSpec& base_spec,
     spec.loads = {0.10, 0.40, 0.80};
   }
   if (options.telemetry) spec.sim.telemetry = *options.telemetry;
-  if (options.event_queue) spec.sim.event_queue = *options.event_queue;
   if (options.cc) spec.sim.cc = *options.cc;
   if (options.sample_interval_ns) {
     spec.sim.sample_interval_ns = *options.sample_interval_ns;
@@ -280,7 +279,7 @@ std::string series_name(const std::string& scheme, int vls,
   os << scheme << " " << vls << "VL";
   if (policy != PolicyConfig{}) {
     os << " [" << policy.forwarding;
-    if (policy.vl_map != "none") os << "+" << policy.vl_map;
+    if (policy.vl_map != PolicyConfig{}.vl_map) os << "+" << policy.vl_map;
     os << "]";
   }
   return os.str();

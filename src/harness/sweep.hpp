@@ -62,7 +62,7 @@ struct PointManifest {
   double bytes_per_endport = 0.0;
   /// Forwarding/VL-map policy pair that ran this point (BENCH schema v6).
   std::string policy = "deterministic";
-  std::string vl_map = "none";
+  std::string vl_map = "random";
   /// Scenario this point ran under (BENCH schema v7): a ScenarioRegistry
   /// name for points produced by run_scenarios, "none" for plain sweeps.
   std::string scenario = "none";
@@ -118,7 +118,6 @@ struct SweepOptions {
   /// smoke values (warmup 5 us, measure 20 us, loads {0.10, 0.40, 0.80}).
   bool quick = false;
   std::optional<bool> telemetry;  ///< override SimConfig::telemetry
-  std::optional<EventQueueKind> event_queue;  ///< override SimConfig::event_queue
   std::optional<CcConfig> cc;  ///< override SimConfig::cc (congestion control)
   /// Override SimConfig::sample_interval_ns: every point of the sweep then
   /// carries an interval-sampler timeline in its result.

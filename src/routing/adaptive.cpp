@@ -56,16 +56,29 @@ class AdaptiveUplinkPolicy final : public ForwardingPolicy {
   }
 };
 
-/// Identity: keep whatever the base VlPolicy chose.
-class IdentityVlMap final : public VlMapPolicy {
+/// A uniform random lane per packet, drawn from the source's stream: the
+/// paper's setting, spreading every flow over all lanes.
+class RandomVlMap final : public VlMapPolicy {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "none";
+    return "random";
   }
-  [[nodiscard]] bool identity() const noexcept override { return true; }
-  [[nodiscard]] VlId remap(NodeId /*src*/, NodeId /*dst*/, VlId base,
-                           int /*num_vls*/) const override {
-    return base;
+  [[nodiscard]] VlId assign(const VlRequest& req,
+                            Xoshiro256& rng) const override {
+    return static_cast<VlId>(
+        rng.below(static_cast<std::uint64_t>(req.num_vls)));
+  }
+};
+
+/// Per-source affinity: all of a source's traffic shares one lane.
+class SrcModVlMap final : public VlMapPolicy {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "src-mod";
+  }
+  [[nodiscard]] VlId assign(const VlRequest& req,
+                            Xoshiro256& /*rng*/) const override {
+    return static_cast<VlId>(req.src % static_cast<NodeId>(req.num_vls));
   }
 };
 
@@ -76,9 +89,9 @@ class DestModVlMap final : public VlMapPolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "dest-mod";
   }
-  [[nodiscard]] VlId remap(NodeId /*src*/, NodeId dst, VlId /*base*/,
-                           int num_vls) const override {
-    return static_cast<VlId>(dst % static_cast<NodeId>(num_vls));
+  [[nodiscard]] VlId assign(const VlRequest& req,
+                            Xoshiro256& /*rng*/) const override {
+    return static_cast<VlId>(req.dst % static_cast<NodeId>(req.num_vls));
   }
 };
 
@@ -89,12 +102,27 @@ class FlowHashVlMap final : public VlMapPolicy {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "flow-hash";
   }
-  [[nodiscard]] VlId remap(NodeId src, NodeId dst, VlId /*base*/,
-                           int num_vls) const override {
-    const std::uint64_t flow =
-        (static_cast<std::uint64_t>(src) << 32) | static_cast<std::uint64_t>(dst);
+  [[nodiscard]] VlId assign(const VlRequest& req,
+                            Xoshiro256& /*rng*/) const override {
+    const std::uint64_t flow = (static_cast<std::uint64_t>(req.src) << 32) |
+                               static_cast<std::uint64_t>(req.dst);
     return static_cast<VlId>(SplitMix64(flow).next() %
-                             static_cast<std::uint64_t>(num_vls));
+                             static_cast<std::uint64_t>(req.num_vls));
+  }
+};
+
+/// Tenant isolation: tenant t's packets all ride VL t % num_vls, so with
+/// enough lanes no two tenants share a buffer.
+class TenantVlMap final : public VlMapPolicy {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "tenant";
+  }
+  [[nodiscard]] bool needs_tenants() const noexcept override { return true; }
+  [[nodiscard]] VlId assign(const VlRequest& req,
+                            Xoshiro256& /*rng*/) const override {
+    MLID_ASSERT(req.tenant >= 0, "the tenant VL map needs tenants");
+    return static_cast<VlId>(req.tenant % req.num_vls);
   }
 };
 
@@ -119,14 +147,20 @@ ForwardingPolicyRegistry& ForwardingPolicyRegistry::instance() {
 VlMapRegistry& VlMapRegistry::instance() {
   static VlMapRegistry reg = [] {
     VlMapRegistry r;
-    r.add("none", [] {
-      return std::unique_ptr<VlMapPolicy>(std::make_unique<IdentityVlMap>());
+    r.add("random", [] {
+      return std::unique_ptr<VlMapPolicy>(std::make_unique<RandomVlMap>());
+    });
+    r.add("src-mod", [] {
+      return std::unique_ptr<VlMapPolicy>(std::make_unique<SrcModVlMap>());
     });
     r.add("dest-mod", [] {
       return std::unique_ptr<VlMapPolicy>(std::make_unique<DestModVlMap>());
     });
     r.add("flow-hash", [] {
       return std::unique_ptr<VlMapPolicy>(std::make_unique<FlowHashVlMap>());
+    });
+    r.add("tenant", [] {
+      return std::unique_ptr<VlMapPolicy>(std::make_unique<TenantVlMap>());
     });
     return r;
   }();

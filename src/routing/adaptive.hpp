@@ -13,19 +13,18 @@
 //    that output).  Down entries are never overridden: the destination sits
 //    in exactly one subtree, so only the up-phase has freedom to exploit.
 //
-//  * VlMapPolicy -- the HCA-side dynamic VL assignment (vFtree / Flow2SL
-//    style): remaps the base VL the SimConfig::vl_policy draw produced onto
-//    a destination- or flow-keyed lane, composing with the existing
-//    weighted VL arbitration.  The identity map is the default and leaves
-//    the engine byte-identical to the pre-policy code.
+//  * VlMapPolicy -- the one VL-selection axis: which data VL an HCA puts a
+//    packet on, composing with the weighted VL arbitration.  "random" (the
+//    default, and the paper's setting) draws a lane per packet from the
+//    source's own stream; "src-mod", "dest-mod" (vFtree style),
+//    "flow-hash" (Flow2SL style) and "tenant" key the lane on the packet.
 //
-// Determinism contract: policies are stateless and read only the candidate
-// signals passed in, so a run is bit-reproducible for a given (config,
-// traffic) seed pair under any policy; with the *deterministic* forwarding
-// policy and the *none* VL map the engine takes its historical hot path
-// untouched and stays byte-identical to the pre-policy engine.  In sharded
-// runs each shard constructs its own policy objects and the candidate
-// signals are the owning shard's local arrays, so shard parity holds.
+// Determinism contract: policies are stateless and read only the signals
+// passed in (a VL map's only randomness is the per-source stream the engine
+// hands it), so a run is bit-reproducible for a given (config, traffic)
+// seed pair under any policy.  In sharded runs each shard constructs its
+// own policy objects and the candidate signals are the owning shard's
+// local arrays, so shard parity holds.
 #pragma once
 
 #include <functional>
@@ -36,6 +35,7 @@
 #include <vector>
 
 #include "common/expect.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace mlid {
@@ -72,20 +72,29 @@ class ForwardingPolicy {
       std::span<const UpPortCandidate> up, PortId deterministic) const = 0;
 };
 
-/// HCA-side dynamic VL assignment, applied after the base VlPolicy draw.
+/// One packet's lane request: everything a VL map may key on.
+struct VlRequest {
+  NodeId src = 0;
+  NodeId dst = 0;
+  int num_vls = 1;
+  int tenant = -1;  ///< the source's tenant; -1 when tenants are off
+};
+
+/// HCA-side VL assignment: picks the data VL each packet rides.
 class VlMapPolicy {
  public:
   virtual ~VlMapPolicy() = default;
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// True for the identity map: the engine then skips the remap call.
-  [[nodiscard]] virtual bool identity() const noexcept { return false; }
+  /// True when the map keys on VlRequest::tenant; SimConfig::validate then
+  /// requires tenants.count > 0.
+  [[nodiscard]] virtual bool needs_tenants() const noexcept { return false; }
 
-  /// Maps a packet onto its data VL; must return a value < num_vls (the
-  /// engine asserts it).  `base` is the VL the configured VlPolicy chose.
-  [[nodiscard]] virtual VlId remap(NodeId src, NodeId dst, VlId base,
-                                   int num_vls) const = 0;
+  /// The packet's data VL; must be < req.num_vls (the engine asserts it).
+  /// `rng` is the source node's own VL stream, read by nothing else.
+  [[nodiscard]] virtual VlId assign(const VlRequest& req,
+                                    Xoshiro256& rng) const = 0;
 };
 
 /// Small shared registry shape for the two policy axes: string-keyed,
@@ -173,9 +182,9 @@ class ForwardingPolicyRegistry : public PolicyRegistry<ForwardingPolicy> {
   static ForwardingPolicyRegistry& instance();
 };
 
-/// Process-wide VL-map registry; "none" (default), "dest-mod" (vFtree-style
-/// destination binding) and "flow-hash" (Flow2SL-style flow hashing) are
-/// registered on first use.
+/// Process-wide VL-map registry; "random" (default), "src-mod", "dest-mod"
+/// (vFtree-style destination binding), "flow-hash" (Flow2SL-style flow
+/// hashing) and "tenant" are registered on first use.
 class VlMapRegistry : public PolicyRegistry<VlMapPolicy> {
  public:
   static VlMapRegistry& instance();
@@ -190,10 +199,11 @@ class VlMapRegistry : public PolicyRegistry<VlMapPolicy> {
 [[nodiscard]] std::string vl_map_listing();
 
 /// The policy pair a simulation runs under, by registry name.  Part of
-/// SimConfig; the defaults reproduce the pre-policy engine bit-for-bit.
+/// SimConfig; the defaults are the paper's setting (LFT forwarding, a
+/// random lane per packet).
 struct PolicyConfig {
   std::string forwarding = "deterministic";
-  std::string vl_map = "none";
+  std::string vl_map = "random";
 
   void validate() const;  ///< names must be registered
 

@@ -163,7 +163,7 @@ class MultiTenantScenario final : public Scenario {
     shared.arm = "shared-vl";
     ScenarioRun isolated = base;
     isolated.arm = "isolated-vl";
-    isolated.sim.tenants.bind_vls = true;
+    isolated.sim.policy.vl_map = "tenant";
     return {shared, isolated};
   }
 

@@ -14,30 +14,17 @@
 #include "common/expect.hpp"
 #include "common/types.hpp"
 #include "routing/adaptive.hpp"
-#include "sim/event_queue.hpp"
 
 namespace mlid {
 
-/// How endnodes map packets onto virtual lanes.
-enum class VlPolicy : std::uint8_t {
-  kRandom,        ///< uniform random per packet (default; spreads hot flows)
-  kBySource,      ///< vl = src mod VLs (per-source affinity)
-  kByDestination, ///< vl = dst mod VLs
-  kFixed0,        ///< everything on VL0 (degenerates to a single lane)
-};
-
 /// Multi-tenant partitioning: carves the endnode space into `count`
-/// contiguous, equal-sized blocks and (optionally) pins each tenant's
-/// traffic to its own virtual lane.  `count == 0` disables the subsystem
-/// entirely -- no per-tenant accounting, no VL override -- and every run is
-/// byte-identical to the pre-tenant engine (asserted by
-/// sim/scenario_parity_test.cpp).  Tenant of node i is `i * count / N`.
+/// contiguous, equal-sized blocks for per-tenant accounting; the "tenant"
+/// VL map pins each tenant's traffic to its own virtual lane.  `count == 0`
+/// disables the subsystem entirely, and every run is byte-identical to the
+/// pre-tenant engine (asserted by sim/scenario_parity_test.cpp).  Tenant of
+/// node i is `i * count / N`.
 struct TenantConfig {
   int count = 0;          ///< number of tenants; 0 = subsystem off
-  /// Pin each tenant's packets to VL = tenant % num_vls (after the normal
-  /// VlPolicy draw, which still happens so the RNG stream stays aligned
-  /// with the unpinned run -- same pattern as VlMapPolicy remaps).
-  bool bind_vls = false;
 
   void validate(int num_nodes) const {
     MLID_EXPECT(count >= 0, "tenant count cannot be negative");
@@ -58,14 +45,12 @@ struct SimConfig {
   int num_vls = 1;            ///< data virtual lanes (1, 2 or 4 in the paper)
   int in_buf_pkts = 1;        ///< input buffer depth per (port, VL)
   int out_buf_pkts = 1;       ///< output buffer depth per (port, VL)
-  VlPolicy vl_policy = VlPolicy::kRandom;
 
   /// Forwarding / VL-map policy pair, by registry name (see
-  /// routing/adaptive.hpp).  The defaults ("deterministic", "none") take
-  /// the historical hot path and are byte-identical to the pre-policy
-  /// engine; "adaptive" switches the up-phase to credit/occupancy-keyed
-  /// port selection and the non-identity VL maps remap packets onto
-  /// destination- or flow-keyed lanes at the HCA.
+  /// routing/adaptive.hpp).  The defaults ("deterministic", "random") are
+  /// the paper's setting; "adaptive" switches the up-phase to
+  /// credit/occupancy-keyed port selection, and the keyed VL maps put
+  /// packets on source-, destination-, flow- or tenant-keyed lanes.
   PolicyConfig policy;
 
   /// IBA VL-arbitration weights (packets served per round before yielding).
@@ -128,12 +113,6 @@ struct SimConfig {
   /// (tests/obs/profile_parity_test.cpp).
   bool profile = false;
 
-  /// Pending-event structure the engine runs on.  The ladder queue is the
-  /// default hot path; the heap is the O(log n) reference kept one flag away
-  /// for bit-identity checks (asserted by sim/queue_parity_test.cpp) and
-  /// perf comparisons.  The choice never alters results, only speed.
-  EventQueueKind event_queue = EventQueueKind::kLadder;
-
   /// Congestion control (IBA CCA): FECN marking at switches, BECN echo from
   /// destinations, CCT-indexed injection throttling at sources.  Off by
   /// default; with cc.enabled == false every run is bit-identical to the
@@ -142,7 +121,7 @@ struct SimConfig {
 
   /// Multi-tenant partitioning (off by default; see TenantConfig).  The
   /// scenario subsystem's `multi-tenant` scenario turns this on together
-  /// with TrafficConfig::tenants so traffic, VL isolation and the
+  /// with TrafficConfig::tenants so traffic, the "tenant" VL map and the
   /// per-tenant SimResult block all agree on the same node blocks.
   TenantConfig tenants;
 
@@ -172,6 +151,9 @@ struct SimConfig {
     MLID_EXPECT(in_buf_pkts >= 1 && out_buf_pkts >= 1,
                 "buffers must hold at least one packet");
     policy.validate();
+    MLID_EXPECT(tenants.count > 0 ||
+                    !make_vl_map_policy(policy.vl_map)->needs_tenants(),
+                "the tenant VL map needs tenants (tenants.count > 0)");
     MLID_EXPECT(warmup_ns >= 0 && measure_ns > 0,
                 "measurement window must be non-empty");
     MLID_EXPECT(trace_stride >= 1, "trace stride must be at least 1");

@@ -113,7 +113,6 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
       offered_load_(offered_load),
       gen_interval_ns_(static_cast<double>(config.packet_wire_ns()) /
                        offered_load),
-      events_(config.event_queue),
       latency_hist_(0.0, 400'000.0, 4000),
       victim_hist_(0.0, 400'000.0, 4000),
       hot_hist_(0.0, 400'000.0, 4000) {
@@ -241,7 +240,6 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
   fwd_policy_ = make_forwarding_policy(cfg_.policy.forwarding);
   vl_map_ = make_vl_map_policy(cfg_.policy.vl_map);
   adaptive_ = !fwd_policy_->deterministic();
-  remap_vls_ = !vl_map_->identity();
   if (adaptive_) {
     uplink_scratch_.reserve(static_cast<std::size_t>(params.m()));
     // The FECN selection signal only exists where FECN marking happens.
@@ -368,34 +366,12 @@ void Simulation::retire_packet(PacketId pkt) {
 }
 
 VlId Simulation::assign_vl(NodeId src, NodeId dst) {
-  const auto vls = static_cast<std::uint32_t>(cfg_.num_vls);
-  VlId base = 0;
-  switch (cfg_.vl_policy) {
-    case VlPolicy::kRandom:
-      // Drawn before the remap check so the per-source RNG streams stay
-      // aligned whether or not a VL map is layered on top.
-      base = static_cast<VlId>(vl_rng_[src].below(vls));
-      break;
-    case VlPolicy::kBySource:
-      base = static_cast<VlId>(src % vls);
-      break;
-    case VlPolicy::kByDestination:
-      base = static_cast<VlId>(dst % vls);
-      break;
-    case VlPolicy::kFixed0:
-      base = 0;
-      break;
-  }
-  if (cfg_.tenants.count > 0 && cfg_.tenants.bind_vls) {
-    // Tenant VL pinning overrides both the policy draw and any VL map: the
-    // draw above still happened, so the per-source RNG streams stay aligned
-    // with the unpinned run.
-    return static_cast<VlId>(static_cast<std::uint32_t>(tenant_of(src)) % vls);
-  }
-  if (!remap_vls_) return base;
-  const VlId mapped = vl_map_->remap(src, dst, base, cfg_.num_vls);
-  MLID_ASSERT(mapped < vls, "VL map must stay within the configured VL count");
-  return mapped;
+  const VlRequest req{src, dst, cfg_.num_vls,
+                      cfg_.tenants.count > 0 ? tenant_of(src) : -1};
+  const VlId vl = vl_map_->assign(req, vl_rng_[src]);
+  MLID_ASSERT(std::size_t{vl} < vls_,
+              "VL map must stay within the configured VL count");
+  return vl;
 }
 
 // --- generation / injection --------------------------------------------------

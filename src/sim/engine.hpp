@@ -154,10 +154,11 @@ class Simulation {
   /// shard before returning.
   void check_invariants() const;
 
-  /// Internals of the pending-event structure this run executed on (kind,
-  /// scheduled/processed counts including the control plane, ladder bucket
+  /// Internals of the pending-event queue this run executed on
+  /// (scheduled/processed counts including the control plane, ladder bucket
   /// occupancy / resizes / overflow depth).  Pure host-performance
-  /// metadata: identical results come out of either queue kind.
+  /// metadata: the pop order, and so every result, is fixed by the event
+  /// order alone.
   [[nodiscard]] EventQueueStats queue_stats() const noexcept {
     EventQueueStats s = events_.stats();
     s.events_scheduled += control_.events_scheduled();
@@ -435,8 +436,8 @@ class Simulation {
   EventQueue events_;
   /// The control plane (faults, SM traps / sweeps / LFT programs): zero
   /// lookahead, so the driver dispatches it in sequential global steps.
-  /// Only shard 0's is used.  Heap: a handful of events.
-  EventQueue control_{EventQueueKind::kHeap};
+  /// Only shard 0's is used.
+  EventQueue control_;
   PacketPool pool_;          ///< generation-checked slots + intrusive links
   std::vector<PacketRt> rt_; ///< routing scratch, parallel to the pool
 
@@ -475,13 +476,14 @@ class Simulation {
 
   std::vector<NodeState> nodes_;
   std::vector<PortId> first_up_port_;  ///< per device; 0 = no up ports
+  /// Per-source VL streams, read only by the VL map (assign_vl), so a map
+  /// that draws nothing leaves every other stream untouched.
   std::vector<Xoshiro256> vl_rng_;
 
   // --- forwarding / VL-map policies (routing/adaptive.hpp) --------------------
   std::unique_ptr<ForwardingPolicy> fwd_policy_;
   std::unique_ptr<VlMapPolicy> vl_map_;
   bool adaptive_ = false;   ///< cached !fwd_policy_->deterministic()
-  bool remap_vls_ = false;  ///< cached !vl_map_->identity()
   /// pick_output's candidate scratch (adaptive only; avoids per-hop
   /// allocation).  Mutable: pick_output is const and the scratch carries no
   /// state across calls.

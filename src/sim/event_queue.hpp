@@ -1,30 +1,23 @@
-// Discrete-event core: deterministic time-ordered event queues.
+// Discrete-event core: the deterministic time-ordered event queue.
 //
 // Ties on the timestamp are broken by event content -- (kind, dev, port, vl,
 // corder), then insertion sequence -- so the dispatch order at each instant
 // is a pure function of *what* is pending, not of which queue (or shard)
 // scheduled it first.  That makes every run bit-reproducible for a given
-// seed and identical across shard counts (asserted by the test suite).  Two
-// interchangeable implementations sit behind the EventQueue facade, selected
-// by SimConfig::event_queue:
+// seed and identical across shard counts (asserted by the test suite).
 //
-//   * HeapEventQueue   -- a std::priority_queue binary heap, O(log n) per
-//     push/pop.  The reference implementation.
-//   * LadderEventQueue -- a calendar/ladder queue: an array of FIFO epoch
-//     buckets covering the near time horizon plus a sorted overflow tier for
-//     far-future events, amortized O(1) per event.  Pop order is *exactly*
-//     the heap's total order -- every bucket is sorted once when
-//     its epoch becomes current, and late pushes into the active epoch are
-//     merge-inserted beyond the drain cursor -- so the two queues are
-//     bit-interchangeable (asserted by sim/event_queue_test.cpp and
-//     sim/queue_parity_test.cpp).
+// EventQueue, the engine's queue for the data and the control plane, is a
+// calendar/ladder queue: an array of epoch buckets covering the near time
+// horizon plus a sorted overflow tier for far-future events, amortized
+// O(1) per event.  Its pop order is checked field for field against a
+// plain binary-heap oracle over the same order
+// (tests/sim/heap_event_queue.hpp).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <queue>
 #include <string_view>
 #include <vector>
@@ -104,34 +97,14 @@ struct Event {
   VlId vl = 0;
 };
 
-/// Which pending-event structure the engine runs on.
-enum class EventQueueKind : std::uint8_t {
-  kHeap,    ///< binary heap (reference; O(log n) per event)
-  kLadder,  ///< ladder/calendar queue (default; amortized O(1) per event)
-};
-
-[[nodiscard]] constexpr std::string_view to_string(EventQueueKind kind) {
-  return kind == EventQueueKind::kHeap ? "heap" : "ladder";
-}
-
-/// Parses "heap" / "ladder" (the --event-queue CLI values); nullopt on
-/// anything else.
-[[nodiscard]] inline std::optional<EventQueueKind> event_queue_from_string(
-    std::string_view text) {
-  if (text == "heap") return EventQueueKind::kHeap;
-  if (text == "ladder") return EventQueueKind::kLadder;
-  return std::nullopt;
-}
-
 /// Queue internals surfaced through the telemetry layer into BENCH_*.json.
-/// These describe *how* the run was computed, never *what* it computed: for
-/// a given event stream the pop order is identical across kinds, so none of
-/// these feed back into simulation results.
+/// These describe *how* the run was computed, never *what* it computed: the
+/// pop order is fixed by the event order alone, so none of these feed back
+/// into simulation results.
 struct EventQueueStats {
-  EventQueueKind kind = EventQueueKind::kLadder;
   std::uint64_t events_scheduled = 0;  ///< pushes (lifetime)
   std::uint64_t events_processed = 0;  ///< pops (lifetime)
-  // --- ladder internals (zero when kind == kHeap) ---------------------------
+  // --- ladder internals ------------------------------------------------------
   std::uint32_t buckets = 0;             ///< current ring size
   SimTime bucket_width_ns = 0;           ///< simulated time per bucket
   std::uint32_t resizes = 0;             ///< ring doublings under load
@@ -177,27 +150,9 @@ struct EventLater {
 };
 }  // namespace detail
 
-/// The original binary-heap queue, kept as the bit-identical reference the
-/// ladder queue is validated (and raced) against.
-class HeapEventQueue {
- public:
-  void push(const Event& e) { heap_.push(e); }
-
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
-  [[nodiscard]] const Event& top() const { return heap_.top(); }
-
-  Event pop() {
-    Event e = heap_.top();
-    heap_.pop();
-    return e;
-  }
-
- private:
-  std::priority_queue<Event, std::vector<Event>, detail::EventLater> heap_;
-};
-
-/// Ladder/calendar queue.  Simulated time is divided into fixed-width
+/// The engine's pending-event set: a ladder/calendar queue that also owns
+/// the sequence numbering, the monotonic-time contract and the
+/// scheduled/processed counters.  Simulated time is divided into fixed-width
 /// epochs; an epoch's bucket lives in a power-of-two ring covering the
 /// near horizon [current epoch, current epoch + buckets).  Pushes inside
 /// the horizon append to their epoch's bucket (O(1)); pushes beyond it go
@@ -209,7 +164,7 @@ class HeapEventQueue {
 /// overflow events that the advancing horizon now covers are pulled into
 /// their buckets, so the tiers can never disagree about order.  The ring
 /// doubles (a "resize") when occupancy crowds the buckets.
-class LadderEventQueue {
+class EventQueue {
  public:
   /// 64 ns buckets: finer than the engine's dominant deltas (routing 100 ns,
   /// wire 256 ns) so an epoch drain stays small, coarse enough that the
@@ -220,11 +175,15 @@ class LadderEventQueue {
   /// Ring doubles when it averages more than this many events per bucket.
   static constexpr std::size_t kResizeLoad = 8;
 
-  LadderEventQueue() : ring_(kDefaultBuckets) {}
+  EventQueue() : ring_(kDefaultBuckets) {}
 
-  void push(const Event& e) {
+  void push(SimTime time, EventKind kind, DeviceId dev, PortId port = 0,
+            VlId vl = 0, PacketId pkt = kInvalidPacket,
+            std::uint64_t corder = 0) {
+    MLID_ASSERT(time >= last_popped_, "scheduling into the past");
+    const Event e{time, next_seq_++, corder, kind, dev, pkt, port, vl};
     ++size_;
-    const std::uint64_t ep = epoch_of(e.time);
+    const std::uint64_t ep = epoch_of(time);
     if (draining_ && ep <= cur_epoch_) {
       // Arrival into (or, after a peek advanced the horizon, before) the
       // active epoch: merge beyond the drain cursor.  e.seq is larger than
@@ -267,27 +226,49 @@ class LadderEventQueue {
   }
 
   Event pop() {
+    MLID_EXPECT(!empty(), "popping an empty event queue");
     prepare();
     --size_;
-    return drain_[pos_++];
+    const Event e = drain_[pos_++];
+    last_popped_ = e.time;
+    ++pops_;
+    return e;
   }
 
-  // --- internals telemetry ----------------------------------------------------
-  [[nodiscard]] std::uint32_t buckets() const noexcept {
-    return static_cast<std::uint32_t>(ring_.size());
+  /// The engine's main loop: dispatch every event strictly before `end`,
+  /// including events the handlers schedule along the way, running down
+  /// sorted bucket drains.
+  template <typename Fn>
+  void drain_until(SimTime end, Fn&& handle) {
+    while (const Event* e = peek()) {
+      if (e->time >= end) break;
+      handle(pop());
+    }
   }
-  [[nodiscard]] SimTime bucket_width_ns() const noexcept {
-    return SimTime{1} << kWidthLog2;
+
+  /// Events pushed over the queue's lifetime.
+  [[nodiscard]] std::uint64_t events_scheduled() const noexcept {
+    return next_seq_;
   }
-  [[nodiscard]] std::uint32_t resizes() const noexcept { return resizes_; }
-  [[nodiscard]] std::uint64_t overflow_pushes() const noexcept {
-    return overflow_pushes_;
+
+  /// Events actually popped (dispatched).  Strictly less than
+  /// events_scheduled() whenever the run ends with work still queued --
+  /// the distinction the events/sec manifests report on.
+  [[nodiscard]] std::uint64_t events_processed() const noexcept {
+    return pops_;
   }
-  [[nodiscard]] std::uint64_t max_overflow_depth() const noexcept {
-    return max_overflow_depth_;
-  }
-  [[nodiscard]] std::uint64_t max_bucket_events() const noexcept {
-    return max_bucket_events_;
+
+  [[nodiscard]] EventQueueStats stats() const noexcept {
+    EventQueueStats s;
+    s.events_scheduled = next_seq_;
+    s.events_processed = pops_;
+    s.buckets = static_cast<std::uint32_t>(ring_.size());
+    s.bucket_width_ns = SimTime{1} << kWidthLog2;
+    s.resizes = resizes_;
+    s.overflow_pushes = overflow_pushes_;
+    s.max_overflow_depth = max_overflow_depth_;
+    s.max_bucket_events = max_bucket_events_;
+    return s;
   }
 
  private:
@@ -357,104 +338,13 @@ class LadderEventQueue {
   bool draining_ = false;   ///< cur_epoch_'s bucket has been claimed by drain_
   std::size_t size_ = 0;    ///< all tiers
   std::size_t ring_count_ = 0;  ///< events in ring buckets (not drain/overflow)
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t pops_ = 0;
+  SimTime last_popped_ = 0;
   std::uint32_t resizes_ = 0;
   std::uint64_t overflow_pushes_ = 0;
   std::uint64_t max_overflow_depth_ = 0;
   std::uint64_t max_bucket_events_ = 0;
-};
-
-/// The engine's pending-event set.  Owns the sequence numbering, the
-/// monotonic-time contract and the scheduled/processed counters; delegates
-/// ordering to the implementation SimConfig::event_queue selects.
-class EventQueue {
- public:
-  explicit EventQueue(EventQueueKind kind = EventQueueKind::kLadder)
-      : kind_(kind) {}
-
-  void push(SimTime time, EventKind kind, DeviceId dev, PortId port = 0,
-            VlId vl = 0, PacketId pkt = kInvalidPacket,
-            std::uint64_t corder = 0) {
-    MLID_ASSERT(time >= last_popped_, "scheduling into the past");
-    const Event e{time, next_seq_++, corder, kind, dev, pkt, port, vl};
-    if (kind_ == EventQueueKind::kHeap) {
-      heap_.push(e);
-    } else {
-      ladder_.push(e);
-    }
-  }
-
-  [[nodiscard]] bool empty() const noexcept {
-    return kind_ == EventQueueKind::kHeap ? heap_.empty() : ladder_.empty();
-  }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return kind_ == EventQueueKind::kHeap ? heap_.size() : ladder_.size();
-  }
-
-  /// The next event without removing it; nullptr when empty.
-  [[nodiscard]] const Event* peek() {
-    if (kind_ == EventQueueKind::kHeap) {
-      return heap_.empty() ? nullptr : &heap_.top();
-    }
-    return ladder_.peek();
-  }
-
-  Event pop() {
-    MLID_EXPECT(!empty(), "popping an empty event queue");
-    const Event e =
-        kind_ == EventQueueKind::kHeap ? heap_.pop() : ladder_.pop();
-    last_popped_ = e.time;
-    ++pops_;
-    return e;
-  }
-
-  /// The engine's main loop: dispatch every event strictly before `end`,
-  /// including events the handlers schedule along the way.  On the ladder
-  /// this runs down sorted bucket drains instead of re-heapifying per event.
-  template <typename Fn>
-  void drain_until(SimTime end, Fn&& handle) {
-    while (const Event* e = peek()) {
-      if (e->time >= end) break;
-      handle(pop());
-    }
-  }
-
-  /// Events pushed over the queue's lifetime.
-  [[nodiscard]] std::uint64_t events_scheduled() const noexcept {
-    return next_seq_;
-  }
-
-  /// Events actually popped (dispatched).  Strictly less than
-  /// events_scheduled() whenever the run ends with work still queued --
-  /// the distinction the events/sec manifests report on.
-  [[nodiscard]] std::uint64_t events_processed() const noexcept {
-    return pops_;
-  }
-
-  [[nodiscard]] EventQueueKind kind() const noexcept { return kind_; }
-
-  [[nodiscard]] EventQueueStats stats() const noexcept {
-    EventQueueStats s;
-    s.kind = kind_;
-    s.events_scheduled = next_seq_;
-    s.events_processed = pops_;
-    if (kind_ == EventQueueKind::kLadder) {
-      s.buckets = ladder_.buckets();
-      s.bucket_width_ns = ladder_.bucket_width_ns();
-      s.resizes = ladder_.resizes();
-      s.overflow_pushes = ladder_.overflow_pushes();
-      s.max_overflow_depth = ladder_.max_overflow_depth();
-      s.max_bucket_events = ladder_.max_bucket_events();
-    }
-    return s;
-  }
-
- private:
-  EventQueueKind kind_;
-  HeapEventQueue heap_;
-  LadderEventQueue ladder_;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t pops_ = 0;
-  SimTime last_popped_ = 0;
 };
 
 }  // namespace mlid

@@ -73,16 +73,6 @@ TEST(Cli, FaultScheduleMatchesFlags) {
   EXPECT_EQ(faults.events()[3].at, 40'000);
 }
 
-TEST(Cli, EventQueueFlagBothFormsAndDefault) {
-  EXPECT_FALSE(parse({}).event_queue().has_value());
-  const CliOptions eq = parse({"--event-queue=heap"});
-  ASSERT_TRUE(eq.event_queue().has_value());
-  EXPECT_EQ(*eq.event_queue(), EventQueueKind::kHeap);
-  const CliOptions two = parse({"--event-queue", "ladder"});
-  ASSERT_TRUE(two.event_queue().has_value());
-  EXPECT_EQ(*two.event_queue(), EventQueueKind::kLadder);
-}
-
 TEST(Cli, ShardsFlagBothFormsAndDefault) {
   EXPECT_EQ(parse({}).shards(), 1u);
   EXPECT_EQ(parse({"--shards=4"}).shards(), 4u);
@@ -91,28 +81,23 @@ TEST(Cli, ShardsFlagBothFormsAndDefault) {
 
 TEST(Cli, SweepOptionsMirrorTheFlags) {
   const CliOptions opts =
-      parse({"--quick", "--threads=3", "--shards=2", "--event-queue=heap",
-             "--no-telemetry"});
+      parse({"--quick", "--threads=3", "--shards=2", "--no-telemetry"});
   const SweepOptions sweep = opts.sweep_options();
   EXPECT_EQ(sweep.threads, 3u);
   EXPECT_EQ(sweep.shards, 2u);
   EXPECT_TRUE(sweep.quick);
   ASSERT_TRUE(sweep.telemetry.has_value());
   EXPECT_FALSE(*sweep.telemetry);
-  ASSERT_TRUE(sweep.event_queue.has_value());
-  EXPECT_EQ(*sweep.event_queue, EventQueueKind::kHeap);
 
   // Unset flags stay nullopt so the spec's own settings win.
   const SweepOptions defaults = parse({}).sweep_options();
   EXPECT_FALSE(defaults.telemetry.has_value());
-  EXPECT_FALSE(defaults.event_queue.has_value());
 }
 
 TEST(Cli, ApplyPropagatesSimOverrides) {
-  const CliOptions opts = parse({"--event-queue=heap", "--no-telemetry"});
+  const CliOptions opts = parse({"--no-telemetry"});
   FigureSpec spec;
   opts.apply(spec);
-  EXPECT_EQ(spec.sim.event_queue, EventQueueKind::kHeap);
   EXPECT_FALSE(spec.sim.telemetry);
 }
 
@@ -175,11 +160,42 @@ TEST(CliDeathTest, ZeroParallelismIsRejected) {
               "--shards");
 }
 
-TEST(CliDeathTest, BogusEventQueueKindIsRejected) {
-  EXPECT_EXIT(parse({"--event-queue=bogus"}), ::testing::ExitedWithCode(2),
-              "--event-queue");
-  EXPECT_EXIT(parse({"--event-queue="}), ::testing::ExitedWithCode(2),
-              "heap or ladder");
+// Values the engine would reject must fail at parse time with exit 2, not
+// throw from a sweep worker mid-run, where nothing catches them.
+TEST(CliDeathTest, ZeroTraceStrideIsRejected) {
+  EXPECT_EXIT(parse({"--trace-stride=0"}), ::testing::ExitedWithCode(2),
+              "trace stride must be at least 1");
+}
+
+TEST(CliDeathTest, NegativeSampleIntervalIsRejected) {
+  EXPECT_EXIT(parse({"--sample-interval-ns=-5"}), ::testing::ExitedWithCode(2),
+              "sampler interval cannot be negative");
+}
+
+TEST(CliDeathTest, ZeroCcThresholdIsRejected) {
+  EXPECT_EXIT(parse({"--cc", "--cc-threshold=0"}),
+              ::testing::ExitedWithCode(2),
+              "FECN depth threshold must admit at least one packet");
+}
+
+TEST(CliDeathTest, ZeroCcTimerIsRejected) {
+  EXPECT_EXIT(parse({"--cc", "--cc-timer-ns=0"}), ::testing::ExitedWithCode(2),
+              "CCT recovery timer period must be positive");
+}
+
+TEST(CliDeathTest, CcValueFlagsAreCheckedWithoutCc) {
+  EXPECT_EXIT(parse({"--cc-timer-ns=0"}), ::testing::ExitedWithCode(2),
+              "CCT recovery timer period must be positive");
+}
+
+TEST(CliDeathTest, NegativeFailLinksIsRejected) {
+  EXPECT_EXIT(parse({"--fail-links=-3"}), ::testing::ExitedWithCode(2),
+              "--fail-links cannot be negative");
+}
+
+TEST(CliDeathTest, TenantVlMapWithoutTenantsIsRejected) {
+  EXPECT_EXIT(parse({"--vl-map=tenant"}), ::testing::ExitedWithCode(2),
+              "the tenant VL map needs tenants");
 }
 
 TEST(CliDeathTest, UnknownFlagListsTheKnownOnes) {
@@ -320,7 +336,7 @@ TEST(CliDeathTest, UnknownVlMapExitsWithTheRegistryListing) {
   EXPECT_EXIT(parse({"--vl-map=bogus"}), ::testing::ExitedWithCode(2),
               "unknown vl map 'bogus'");
   EXPECT_EXIT(parse({"--vl-map=bogus"}), ::testing::ExitedWithCode(2),
-              "registered: none, dest-mod, flow-hash");
+              "registered: random, src-mod, dest-mod, flow-hash, tenant");
 }
 
 TEST(CliDeathTest, UsageTextEnumeratesTheRegistries) {

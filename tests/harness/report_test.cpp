@@ -192,7 +192,7 @@ TEST(Report, BenchReportEmitsTheSchema) {
   b.events_processed = 50;
   report.add("burst-b", b);
   const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"schema\":\"mlid-bench-v8\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"mlid-bench-v9\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"unit_bench\""), std::string::npos);
   EXPECT_NE(json.find("\"git\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":9"), std::string::npos);
@@ -259,6 +259,18 @@ TEST(Report, V7ScenarioProvenanceAndTenantBlock) {
   EXPECT_NE(plain.to_json().find("\"scenario\":\"none\""), std::string::npos);
 }
 
+TEST(Report, V9OneQueueAndRandomVlMap) {
+  // v9: the manifest's event_queue block has no "kind" (there is one
+  // queue), and the default VL map is named "random".
+  BenchReport plain("v9_bench", 1, 1, true);
+  plain.add("p", SimResult{}, PointManifest{});
+  const std::string json = plain.to_json();
+  EXPECT_NE(json.find("\"event_queue\":{\"buckets\""), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"kind\""), std::string::npos);
+  EXPECT_NE(json.find("\"vl_map\":\"random\""), std::string::npos);
+}
+
 TEST(Report, V8ProfileBlockInResultsAndManifests) {
   // v8: sim results carry a presence-flagged profile block; every point
   // manifest carries one unconditionally (enabled == false, all zeros for
@@ -302,7 +314,7 @@ TEST(Report, BenchReportWritesItsFile) {
   buf << in.rdbuf();
   // wall_seconds advances between serializations, so compare structure,
   // not the exact bytes.
-  EXPECT_NE(buf.str().find("\"schema\":\"mlid-bench-v8\""), std::string::npos);
+  EXPECT_NE(buf.str().find("\"schema\":\"mlid-bench-v9\""), std::string::npos);
   EXPECT_NE(buf.str().find("\"name\":\"write_test\""), std::string::npos);
   EXPECT_EQ(buf.str().back(), '\n');
   std::remove(path.c_str());

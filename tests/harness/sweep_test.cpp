@@ -71,7 +71,7 @@ TEST(Sweep, RunnerIsDeterministicAcrossThreadCounts) {
               parallel[i].manifest.events_processed);
     EXPECT_EQ(serial[i].manifest.events_scheduled,
               parallel[i].manifest.events_scheduled);
-    EXPECT_EQ(serial[i].manifest.queue.kind, parallel[i].manifest.queue.kind);
+    EXPECT_TRUE(serial[i].manifest.queue == parallel[i].manifest.queue);
     // The manifest records the *actual* pool size, never the 0 placeholder.
     EXPECT_EQ(serial[i].manifest.threads, 1u);
     EXPECT_GE(parallel[i].manifest.threads, 1u);
@@ -172,8 +172,7 @@ TEST(Sweep, ManifestRecordsTheRun) {
     // events_per_sec is 0 only if the clock read 0 wall time.
     EXPECT_TRUE(p.manifest.events_per_sec > 0.0 ||
                 p.manifest.wall_seconds == 0.0);
-    // Queue internals ride along (ladder is the default).
-    EXPECT_EQ(p.manifest.queue.kind, EventQueueKind::kLadder);
+    // Queue internals ride along.
     EXPECT_GT(p.manifest.queue.buckets, 0u);
     EXPECT_EQ(p.manifest.queue.events_processed, p.manifest.events_processed);
   }
@@ -231,15 +230,14 @@ TEST(Sweep, ProfileOptionFillsEveryManifest) {
   }
 }
 
-TEST(Sweep, OptionsOverrideQueueKindAndTelemetry) {
+TEST(Sweep, OptionsOverrideTelemetry) {
   const FigureSpec spec = tiny_spec();
   SweepOptions options;
   options.threads = 1;
-  options.event_queue = EventQueueKind::kHeap;
   options.telemetry = false;
   const auto points = run_sweep(spec, options);
   for (const auto& p : points) {
-    EXPECT_EQ(p.manifest.queue.kind, EventQueueKind::kHeap);
+    EXPECT_GT(p.manifest.queue.buckets, 0u);
     EXPECT_FALSE(p.result.telemetry);
   }
   // Defaults inherit from the spec instead of overriding it.

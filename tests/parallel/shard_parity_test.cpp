@@ -15,6 +15,7 @@
 #include "obs/stream.hpp"
 #include "parallel/sharded.hpp"
 #include "sim/engine.hpp"
+#include "../sim/heap_event_queue.hpp"
 
 namespace mlid {
 namespace {
@@ -45,9 +46,8 @@ void expect_identity_across_shards_and_threads(Run run) {
 
 TEST(ShardParity, CanonicalOrderIsContentDetermined) {
   // Same-timestamp events must pop in (kind, dev, port, vl, corder) order
-  // regardless of push order, on both queue structures.
-  for (const auto kind : {EventQueueKind::kHeap, EventQueueKind::kLadder}) {
-    EventQueue q(kind);
+  // regardless of push order, on the engine's queue and the heap oracle.
+  auto check = [](auto q) {
     q.push(10, EventKind::kTailOut, 2, 1);
     q.push(10, EventKind::kHeadArrive, 5, 1);
     q.push(10, EventKind::kHeadArrive, 3, 2, 0, kInvalidPacket, 1);
@@ -69,7 +69,9 @@ TEST(ShardParity, CanonicalOrderIsContentDetermined) {
     EXPECT_EQ(d.kind, EventKind::kTailOut);
     EXPECT_EQ(d.dev, 2u);
     EXPECT_TRUE(q.empty());
-  }
+  };
+  check(EventQueue{});
+  check(HeapEventQueue{});
 }
 
 TEST(ShardParity, OpenLoopRunsAreBitIdentical) {

@@ -12,7 +12,6 @@ namespace {
 SimConfig one_lane() {
   SimConfig cfg;
   cfg.num_vls = 1;
-  cfg.vl_policy = VlPolicy::kFixed0;
   cfg.seed = 41;
   return cfg;
 }

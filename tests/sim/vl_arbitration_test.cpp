@@ -49,7 +49,7 @@ TEST(VlArbitration, WeightsSkewSaturatedLaneThroughput) {
   const Subnet subnet(fabric, "MLID");
   SimConfig cfg = window();
   cfg.num_vls = 2;
-  cfg.vl_policy = VlPolicy::kBySource;
+  cfg.policy.vl_map = "src-mod";
   cfg.vl_weights = {3, 1};
   const TrafficConfig traffic{TrafficKind::kCentric, 1.0, 0, 17};
   const SimResult r = Simulation::open_loop(subnet, cfg, traffic, 0.9).run();
