@@ -67,6 +67,35 @@ class OnlineStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
+/// Exact accumulator of integer samples: count, sum and maximum.  Integer
+/// sums merge in any grouping and order to the same bits as one pass over
+/// all samples, unlike OnlineStats, whose update depends on input order.
+class ExactStats {
+ public:
+  void add(std::int64_t x) noexcept {
+    ++count_;
+    sum_ += x;
+    max_ = std::max(max_, x);
+  }
+  void merge(const ExactStats& other) noexcept {
+    count_ += other.count_;
+    sum_ += other.sum_;
+    max_ = std::max(max_, other.max_);
+  }
+
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] double mean() const noexcept {
+    return count_ ? static_cast<double>(sum_) / static_cast<double>(count_)
+                  : 0.0;
+  }
+  [[nodiscard]] std::int64_t max() const noexcept { return count_ ? max_ : 0; }
+
+ private:
+  std::uint64_t count_ = 0;
+  std::int64_t sum_ = 0;
+  std::int64_t max_ = std::numeric_limits<std::int64_t>::min();
+};
+
 /// Fixed-bin histogram with overflow bin; used for latency distributions.
 class Histogram {
  public:
@@ -87,6 +116,17 @@ class Histogram {
       ++bins_[std::min(idx, bins_.size() - 1)];
     }
     ++total_;
+  }
+
+  /// Adds `other`'s counts, which must use the same binning.
+  void merge(const Histogram& other) {
+    MLID_EXPECT(lo_ == other.lo_ && hi_ == other.hi_ &&
+                    bins_.size() == other.bins_.size(),
+                "merging histograms with different binnings");
+    for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
+    underflow_ += other.underflow_;
+    overflow_ += other.overflow_;
+    total_ += other.total_;
   }
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }

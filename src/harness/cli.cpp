@@ -247,8 +247,14 @@ CliOptions::CliOptions(int argc, char** argv) {
   }
   if (fail_links_ < 0) usage_error("--fail-links cannot be negative");
   // Check the parsed values the way the engine will, so a bad one exits 2
-  // here instead of throwing from a sweep worker mid-run.  The CC value
-  // flags are checked even without --cc.
+  // here instead of throwing from a sweep worker mid-run -- CC values even
+  // without --cc, fault times even without --fail-links.
+  if (fail_at_ns_ < 0) usage_error("--fail-at-ns cannot be negative");
+  if (recover_at_ns_ && *recover_at_ns_ <= fail_at_ns_) {
+    usage_error(*recover_at_ns_ < 0
+                    ? "--recover-at-ns cannot be negative"
+                    : "--recover-at-ns must be later than --fail-at-ns");
+  }
   FigureSpec probe;
   apply(probe);
   probe.sim.cc = cc_values();
@@ -284,8 +290,8 @@ std::unique_ptr<MetricsStreamer> CliOptions::make_metrics_streamer() const {
 
 FaultSchedule CliOptions::fault_schedule(const FatTreeFabric& fabric) const {
   if (fail_links_ <= 0) return FaultSchedule{};
-  return FaultSchedule::random_uplink_failures(fabric, fail_links_, fail_at_ns_,
-                                               seed_ ^ 0xFA11u, recover_at_ns_);
+  return FaultSchedule::random_uplink_failures(
+      fabric, fail_links_, fail_at_ns_, seed_ ^ 0xFA11u, recover_at_ns());
 }
 
 }  // namespace mlid

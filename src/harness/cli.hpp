@@ -141,7 +141,7 @@ class CliOptions {
   [[nodiscard]] int fail_links() const noexcept { return fail_links_; }
   [[nodiscard]] std::int64_t fail_at_ns() const noexcept { return fail_at_ns_; }
   [[nodiscard]] std::int64_t recover_at_ns() const noexcept {
-    return recover_at_ns_;
+    return recover_at_ns_.value_or(-1);
   }
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;
@@ -223,7 +223,7 @@ class CliOptions {
   std::int64_t metrics_interval_ns_ = 10'000;
   int fail_links_ = 0;
   std::int64_t fail_at_ns_ = 20'000;
-  std::int64_t recover_at_ns_ = -1;
+  std::optional<std::int64_t> recover_at_ns_;  ///< unset = never
   std::vector<std::string> positional_;
 };
 

@@ -7,7 +7,6 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <utility>
 
 #include "sim/driver.hpp"
@@ -125,10 +124,7 @@ Result ShardedSimulation::drive(Run run) {
   const SimTime lookahead =
       plan_->num_shards > 1 ? plan_->lookahead_ns : kSimTimeNever;
   Driver driver(shards_, lookahead, threads_used_);
-  const Driver::Merge merge = [this] {
-    merge_into_root();
-    replay_deliveries();
-  };
+  const Driver::Merge merge = [this] { merge_into_root(); };
   if (threads_used_ <= 1) return run(driver, Driver::WindowDrain{}, merge);
   // Worker w drains shards w, w + workers, ...: each shard is drained by
   // exactly one worker per window.
@@ -168,6 +164,7 @@ void ShardedSimulation::merge_into_root() {
     const SimResult& b = s.result_;
     a.packets_generated += b.packets_generated;
     a.packets_delivered += b.packets_delivered;
+    a.packets_measured += b.packets_measured;
     a.packets_dropped += b.packets_dropped;
     a.dropped_unroutable += b.dropped_unroutable;
     a.dropped_dead_link += b.dropped_dead_link;
@@ -226,33 +223,8 @@ void ShardedSimulation::merge_into_root() {
         r.cct_[node] = std::move(s.cct_[node]);
       }
     }
-    r.last_delivery_ = std::max(r.last_delivery_, s.last_delivery_);
-    r.burst_packets_ += s.burst_packets_;
+    r.delivery_.merge(s.delivery_);
     r.burst_bytes_ += s.burst_bytes_;
-  }
-}
-
-void ShardedSimulation::replay_deliveries() {
-  std::vector<Simulation::DeliveryRecord> all;
-  std::size_t total = 0;
-  for (const Simulation& s : shards_) total += s.deliveries_.size();
-  if (total == 0) return;
-  all.reserve(total);
-  for (Simulation& s : shards_) {
-    all.insert(all.end(), s.deliveries_.begin(), s.deliveries_.end());
-    s.deliveries_.clear();
-  }
-  // Dispatch order of kDeliver events: (time, dev, vl, corder).
-  // Destination endnodes have a single port, and corder is unique per
-  // packet, so this reproduces the one-shard accumulation sequence.
-  std::sort(all.begin(), all.end(),
-            [](const Simulation::DeliveryRecord& a,
-               const Simulation::DeliveryRecord& b) {
-              return std::tie(a.time, a.dev, a.vl, a.corder) <
-                     std::tie(b.time, b.dev, b.vl, b.corder);
-            });
-  for (const Simulation::DeliveryRecord& rec : all) {
-    shards_.front().accumulate_delivery(rec);
   }
 }
 

@@ -6,8 +6,8 @@
 // conservative-sync windows bounded by the link lookahead.  What sharding
 // adds on top of that loop lives here: the partition, a worker pool that
 // drains the shards of one window in parallel, and the end-of-run merge --
-// owned device / CC state folds into shard 0 and the shards' delivery logs
-// replay there in event order.
+// owned device / CC state folds into shard 0 and so do the counters and
+// delivery statistics every shard collected on its own.
 //
 // Results are bit-identical for ANY shard count and ANY thread count,
 // including a single shard, which is exactly Simulation::run (asserted by
@@ -69,8 +69,8 @@ class ShardedSimulation {
   [[nodiscard]] EventQueueStats queue_stats() const;
 
   /// Fleet-wide hot-state bytes: Simulation::memory_footprint() summed over
-  /// every shard (each shard only sizes its owned slice, so the sum is the
-  /// fleet's actual allocation, not num_shards copies of the fabric).
+  /// every shard.  Each shard sizes its per-port, per-VL and per-node arrays
+  /// for the whole fabric, not its owned slice, so this is num_shards copies.
   [[nodiscard]] std::size_t memory_footprint() const noexcept;
 
   /// First frozen per-shard flight dump (SimConfig::flight_recorder_depth).
@@ -90,11 +90,8 @@ class ShardedSimulation {
   template <typename Result, typename Run>
   Result drive(Run run);
   /// Folds every non-root shard into shard 0: owned device / CC state moves
-  /// over, integer counters sum, watermarks max-merge.
+  /// over, counters and delivery statistics sum, watermarks max-merge.
   void merge_into_root();
-  /// Sorts all shards' DeliveryRecords into event order and feeds them
-  /// through shard 0's accumulators.
-  void replay_deliveries();
 
   std::unique_ptr<const ShardPlan> plan_;  ///< heap: shard bindings point in
   std::uint32_t threads_used_ = 1;

@@ -19,17 +19,14 @@
 // one at a time in event order (sim/event_queue.hpp).
 //
 // Determinism: results are bit-identical for ANY shard count and ANY thread
-// count (tests/parallel/shard_parity_test.cpp).  Three mechanisms carry the
+// count (tests/parallel/shard_parity_test.cpp).  Two mechanisms carry the
 // guarantee:
 //   * same-timestamp dispatch is ordered by event content, not by which
 //     queue scheduled the event first;
 //   * Packet::corder (generation order) is the content tie-break key,
-//     because pool ids diverge across shard counts;
-//   * in a multi-shard run the order-sensitive accumulators (Welford
-//     windows, histograms, message completion) are not fed during the run --
-//     each shard logs DeliveryRecords and the sharded engine replays the
-//     merged log in event order on shard 0, reproducing the one-shard
-//     sequence exactly (including float rounding).
+//     because pool ids diverge across shard counts.
+// Delivery statistics need neither: they are integer sums, counts and
+// maxima, so each shard accumulates its own and the merge adds them up.
 //
 // Time-resolved telemetry is driver-owned: the interval sampler
 // (SimConfig::sample_interval_ns) and the JSONL metrics stream

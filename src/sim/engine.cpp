@@ -83,16 +83,15 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
       pkt.msg = mid;
       pkt.corder = corder;
       ++result_.packets_generated;
-      ++burst_packets_;
       burst_bytes_ += size;
       NodeState& ns = nodes_[spec.src];
       pool_.push_back(src_q_[static_cast<std::size_t>(spec.src) * vls_ + pkt.vl],
                       id);
       ++ns.queued_pkts;
     }
-    // Every shard tracks every message (segment counts are shard-independent)
-    // so the driver's delivery replay can complete them on shard 0.
-    msgs_.push_back(MsgState{segments, -1});
+    // Every shard counts every message's segments; they all land on the
+    // destination's shard, which completes the message.
+    msgs_.push_back(segments);
   }
   // Prime every owned NIC once; subsequent pulls chain off tail-out events.
   for (NodeId node = 0; node < num_nodes; ++node) {
@@ -112,10 +111,7 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
       traffic_(traffic, subnet.fabric().params().num_nodes()),
       offered_load_(offered_load),
       gen_interval_ns_(static_cast<double>(config.packet_wire_ns()) /
-                       offered_load),
-      latency_hist_(0.0, 400'000.0, 4000),
-      victim_hist_(0.0, 400'000.0, 4000),
-      hot_hist_(0.0, 400'000.0, 4000) {
+                       offered_load) {
   cfg_.validate();
   burst_ = burst;
   if (sharded()) {
@@ -204,22 +200,14 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
     flight_len_.assign(g.num_devices(), 0);
   }
 
-  delivered_per_vl_.assign(static_cast<std::size_t>(cfg_.num_vls), 0);
-  latency_per_vl_.assign(static_cast<std::size_t>(cfg_.num_vls),
-                         OnlineStats{});
-  bytes_per_node_.assign(num_nodes, 0);
+  delivery_.latency_per_vl.resize(vls_);
+  delivery_.bytes_per_node.assign(num_nodes, 0);
   cfg_.tenants.validate(static_cast<int>(num_nodes));
-  if (cfg_.tenants.count > 0) {
-    const auto tenants = static_cast<std::size_t>(cfg_.tenants.count);
-    tenant_delivered_.assign(tenants, 0);
-    tenant_bytes_.assign(tenants, 0);
-    tenant_latency_.assign(tenants, OnlineStats{});
-  }
+  const auto tenants = static_cast<std::size_t>(cfg_.tenants.count);
+  delivery_.tenant_latency.resize(tenants);
+  delivery_.tenant_bytes.assign(tenants, 0);
   result_.telemetry = cfg_.telemetry;
-  if (cfg_.telemetry) {
-    result_.latency_log2_per_vl.assign(static_cast<std::size_t>(cfg_.num_vls),
-                                       Log2Histogram{});
-  }
+  if (cfg_.telemetry) delivery_.latency_log2_per_vl.resize(vls_);
 
   // Up-port ranges for the adaptive forwarding policies: on both tree
   // families the up ports of a non-root switch are the contiguous physical
@@ -908,17 +896,41 @@ void Simulation::on_deliver(DeviceId dev, PortId port, VlId vl, PacketId pkt,
               "packet delivered to a node that does not own its DLID");
   p.delivered_at = now;
   ++result_.packets_delivered;
-  const DeliveryRecord rec{now,          dev,   vl,    p.corder,
-                           p.generated_at, p.injected_at, p.size_bytes,
-                           p.dst,        p.hops, p.msg};
-  if (sharded()) {
-    // The Welford windows and histograms are accumulation-order sensitive;
-    // log the delivery and let the driver replay the global log on shard 0
-    // in canonical order, reproducing the sequential accumulation sequence.
-    deliveries_.push_back(rec);
-  } else {
-    accumulate_delivery(rec);
+  DeliveryStats& d = delivery_;
+  if (now >= cfg_.warmup_ns && now < cfg_.end_time()) {
+    ++result_.packets_measured;
+    const SimTime lat = now - p.generated_at;
+    d.latency.add(lat);
+    d.latency_hist.add(static_cast<double>(lat));
+    d.net_latency.add(now - p.injected_at);
+    d.hops.add(p.hops);
+    d.latency_per_vl[vl].add(lat);
+    d.bytes_per_node[p.dst] += p.size_bytes;
+    if (traffic_.config().kind == TrafficKind::kCentric) {
+      const bool hot = p.dst == traffic_.config().hot_node;
+      (hot ? d.hot : d.victim).add(lat);
+      (hot ? d.hot_hist : d.victim_hist).add(static_cast<double>(lat));
+    }
+    if (!d.tenant_latency.empty()) {
+      const auto t = static_cast<std::size_t>(tenant_of(p.dst));
+      d.tenant_latency[t].add(lat);
+      d.tenant_bytes[t] += p.size_bytes;
+    }
+    if (cfg_.telemetry) {
+      d.latency_log2.add(static_cast<double>(lat));
+      d.queue_log2.add(static_cast<double>(p.injected_at - p.generated_at));
+      d.network_log2.add(static_cast<double>(now - p.injected_at));
+      d.latency_log2_per_vl[vl].add(static_cast<double>(lat));
+    }
   }
+  if (p.msg != kNoMessage) {
+    MLID_ASSERT(msgs_[p.msg] > 0, "message over-delivered");
+    if (--msgs_[p.msg] == 0) {
+      d.msg_latency.add(now);  // all bursts start at 0
+      if (cfg_.telemetry) d.msg_latency_hist.add(static_cast<double>(now));
+    }
+  }
+  d.last = std::max(d.last, now);
   if (cc_on() && p.fecn) {
     // BECN return: the destination HCA echoes the mark to the source as a
     // small control packet, modeled as a delayed event like SM traps.
@@ -927,7 +939,6 @@ void Simulation::on_deliver(DeviceId dev, PortId port, VlId vl, PacketId pkt,
     schedule(now + cfg_.cc.becn_delay_ns, EventKind::kBecnArrive, p.src, 0, 0,
              static_cast<PacketId>(p.dst));
   }
-  last_delivery_ = std::max(last_delivery_, now);
   trace_event(pkt, now, TracePoint::kDelivered, dev, port, vl);
   // The destination endnode consumes at link rate: its input slot frees as
   // the tail lands, so the credit travels back immediately.
@@ -935,52 +946,32 @@ void Simulation::on_deliver(DeviceId dev, PortId port, VlId vl, PacketId pkt,
   retire_packet(pkt);
 }
 
-void Simulation::accumulate_delivery(const DeliveryRecord& rec) {
-  const SimTime now = rec.time;
-  if (now >= cfg_.warmup_ns && now < cfg_.end_time()) {
-    ++result_.packets_measured;
-    bytes_accepted_window_ += rec.size_bytes;
-    ++delivered_per_vl_[rec.vl];
-    latency_per_vl_[rec.vl].add(static_cast<double>(now - rec.generated_at));
-    bytes_per_node_[rec.dst] += rec.size_bytes;
-    const auto lat = static_cast<double>(now - rec.generated_at);
-    latency_window_.add(lat);
-    latency_hist_.add(lat);
-    net_latency_window_.add(static_cast<double>(now - rec.injected_at));
-    hops_window_.add(static_cast<double>(rec.hops));
-    if (traffic_.config().kind == TrafficKind::kCentric) {
-      if (rec.dst == traffic_.config().hot_node) {
-        hot_window_.add(lat);
-        hot_hist_.add(lat);
-      } else {
-        victim_window_.add(lat);
-        victim_hist_.add(lat);
-      }
-    }
-    if (!tenant_delivered_.empty()) {
-      const auto t = static_cast<std::size_t>(tenant_of(rec.dst));
-      ++tenant_delivered_[t];
-      tenant_bytes_[t] += rec.size_bytes;
-      tenant_latency_[t].add(lat);
-    }
-    if (cfg_.telemetry) {
-      result_.latency_log2_hist.add(lat);
-      result_.queue_log2_hist.add(
-          static_cast<double>(rec.injected_at - rec.generated_at));
-      result_.network_log2_hist.add(
-          static_cast<double>(now - rec.injected_at));
-      result_.latency_log2_per_vl[rec.vl].add(lat);
-    }
-  }
-  if (rec.msg != kNoMessage) {
-    MsgState& msg = msgs_[rec.msg];
-    MLID_ASSERT(msg.remaining_segments > 0, "message over-delivered");
-    if (--msg.remaining_segments == 0) {
-      msg.completed_at = now;
-      msg_latency_.add(static_cast<double>(now));  // all bursts start at 0
-      if (cfg_.telemetry) msg_latency_hist_.add(static_cast<double>(now));
-    }
-  }
+void Simulation::DeliveryStats::merge(const DeliveryStats& other) {
+  const auto merge_each = [](auto& into, const auto& from) {
+    for (std::size_t i = 0; i < into.size(); ++i) into[i].merge(from[i]);
+  };
+  const auto add_each = [](auto& into, const auto& from) {
+    for (std::size_t i = 0; i < into.size(); ++i) into[i] += from[i];
+  };
+  latency.merge(other.latency);
+  net_latency.merge(other.net_latency);
+  hops.merge(other.hops);
+  latency_hist.merge(other.latency_hist);
+  merge_each(latency_per_vl, other.latency_per_vl);
+  add_each(bytes_per_node, other.bytes_per_node);
+  victim.merge(other.victim);
+  hot.merge(other.hot);
+  victim_hist.merge(other.victim_hist);
+  hot_hist.merge(other.hot_hist);
+  merge_each(tenant_latency, other.tenant_latency);
+  add_each(tenant_bytes, other.tenant_bytes);
+  latency_log2.merge(other.latency_log2);
+  queue_log2.merge(other.queue_log2);
+  network_log2.merge(other.network_log2);
+  merge_each(latency_log2_per_vl, other.latency_log2_per_vl);
+  last = std::max(last, other.last);
+  msg_latency.merge(other.msg_latency);
+  msg_latency_hist.merge(other.msg_latency_hist);
 }
 
 // --- congestion control ------------------------------------------------------
@@ -1270,10 +1261,9 @@ std::size_t Simulation::memory_footprint() const noexcept {
   for (const CcNode& cn : cc_nodes_) total += vec_bytes(cn.next_allowed);
   total += vec_bytes(timeline_.samples) + vec_bytes(flight_ring_) +
            vec_bytes(flight_pos_) + vec_bytes(flight_len_);
-  total += vec_bytes(deliveries_) + vec_bytes(trace_arena_) +
-           vec_bytes(traces_) + vec_bytes(msgs_);
-  total += vec_bytes(delivered_per_vl_) + vec_bytes(latency_per_vl_) +
-           vec_bytes(bytes_per_node_);
+  total += vec_bytes(trace_arena_) + vec_bytes(traces_) + vec_bytes(msgs_);
+  total += vec_bytes(delivery_.latency_per_vl) +
+           vec_bytes(delivery_.bytes_per_node);
   return total;
 }
 
@@ -1355,23 +1345,24 @@ BurstResult Simulation::run_to_completion() {
 BurstResult Simulation::finalize_burst(std::uint64_t events_processed,
                                        std::uint64_t events_scheduled) {
   BurstResult burst;
-  burst.makespan_ns = last_delivery_;
-  burst.avg_message_latency_ns = msg_latency_.mean();
-  burst.max_message_latency_ns = msg_latency_.max();
+  const DeliveryStats& d = delivery_;
+  burst.makespan_ns = d.last;
+  burst.avg_message_latency_ns = d.msg_latency.mean();
+  burst.max_message_latency_ns = static_cast<double>(d.msg_latency.max());
   burst.messages = msgs_.size();
-  burst.packets = burst_packets_;
+  burst.packets = result_.packets_generated;
   burst.total_bytes = burst_bytes_;
   burst.events_processed = events_processed;
   burst.events_scheduled = events_scheduled;
   burst.cc = collect_cc();
   if (cfg_.telemetry) {
     burst.telemetry = true;
-    burst.p50_message_latency_ns = msg_latency_hist_.quantile(0.50);
-    burst.p95_message_latency_ns = msg_latency_hist_.quantile(0.95);
-    burst.p99_message_latency_ns = msg_latency_hist_.quantile(0.99);
-    burst.message_latency_hist = msg_latency_hist_;
-    burst.link_summary = finish_link_telemetry(
-        last_delivery_, std::max<SimTime>(last_delivery_, 1));
+    burst.p50_message_latency_ns = d.msg_latency_hist.quantile(0.50);
+    burst.p95_message_latency_ns = d.msg_latency_hist.quantile(0.95);
+    burst.p99_message_latency_ns = d.msg_latency_hist.quantile(0.99);
+    burst.message_latency_hist = d.msg_latency_hist;
+    burst.link_summary =
+        finish_link_telemetry(d.last, std::max<SimTime>(d.last, 1));
   }
   return burst;
 }
@@ -1418,7 +1409,7 @@ std::vector<LinkStats> Simulation::link_stats() const {
   // Utilization is relative to the same window finish_link_telemetry used:
   // the measurement window in open-loop mode, the makespan for bursts.
   const auto window = static_cast<double>(
-      burst_ ? std::max<SimTime>(last_delivery_, 1) : cfg_.measure_ns);
+      burst_ ? std::max<SimTime>(delivery_.last, 1) : cfg_.measure_ns);
   std::vector<LinkStats> stats;
   const Fabric& g = subnet_->fabric().fabric();
   for (DeviceId dev = 0; dev < g.num_devices(); ++dev) {
@@ -1490,18 +1481,14 @@ SimResult Simulation::finalize_open_loop(std::uint64_t events_processed,
   result_.sim_end_ns = end;
   result_.events_processed = events_processed;
   result_.events_scheduled = events_scheduled;
-  const auto num_nodes =
-      static_cast<double>(subnet_->fabric().params().num_nodes());
-  result_.accepted_bytes_per_ns_per_node =
-      static_cast<double>(bytes_accepted_window_) /
-      static_cast<double>(cfg_.measure_ns) / num_nodes;
-  result_.avg_latency_ns = latency_window_.mean();
-  result_.avg_network_latency_ns = net_latency_window_.mean();
-  result_.p50_latency_ns = latency_hist_.quantile(0.50);
-  result_.p95_latency_ns = latency_hist_.quantile(0.95);
-  result_.p99_latency_ns = latency_hist_.quantile(0.99);
-  result_.max_latency_ns = latency_window_.max();
-  result_.avg_hops = hops_window_.mean();
+  const DeliveryStats& d = delivery_;
+  result_.avg_latency_ns = d.latency.mean();
+  result_.avg_network_latency_ns = d.net_latency.mean();
+  result_.p50_latency_ns = d.latency_hist.quantile(0.50);
+  result_.p95_latency_ns = d.latency_hist.quantile(0.95);
+  result_.p99_latency_ns = d.latency_hist.quantile(0.99);
+  result_.max_latency_ns = static_cast<double>(d.latency.max());
+  result_.avg_hops = d.hops.mean();
 
   OnlineStats util;
   for (std::size_t fp = 0; fp < port_connected_.size(); ++fp) {
@@ -1512,14 +1499,21 @@ SimResult Simulation::finalize_open_loop(std::uint64_t events_processed,
   result_.mean_link_utilization = util.mean();
   result_.max_link_utilization = util.max();
   result_.link_summary = finish_link_telemetry(end, cfg_.measure_ns);
+  result_.latency_log2_hist = d.latency_log2;
+  result_.queue_log2_hist = d.queue_log2;
+  result_.network_log2_hist = d.network_log2;
+  result_.latency_log2_per_vl = d.latency_log2_per_vl;
 
-  result_.delivered_per_vl = delivered_per_vl_;
+  result_.delivered_per_vl.clear();
   result_.avg_latency_per_vl_ns.clear();
-  for (const OnlineStats& s : latency_per_vl_) {
+  for (const ExactStats& s : d.latency_per_vl) {
+    result_.delivered_per_vl.push_back(s.count());
     result_.avg_latency_per_vl_ns.push_back(s.mean());
   }
+  std::uint64_t bytes_accepted = 0;
   double sum = 0.0, sum_sq = 0.0, lo = -1.0, hi = 0.0;
-  for (const std::uint64_t bytes : bytes_per_node_) {
+  for (const std::uint64_t bytes : d.bytes_per_node) {
+    bytes_accepted += bytes;
     const auto rate = static_cast<double>(bytes) /
                       static_cast<double>(cfg_.measure_ns);
     sum += rate;
@@ -1527,37 +1521,52 @@ SimResult Simulation::finalize_open_loop(std::uint64_t events_processed,
     if (lo < 0.0 || rate < lo) lo = rate;
     hi = std::max(hi, rate);
   }
-  const auto n_nodes = static_cast<double>(bytes_per_node_.size());
+  const auto num_nodes = static_cast<double>(d.bytes_per_node.size());
+  result_.accepted_bytes_per_ns_per_node =
+      static_cast<double>(bytes_accepted) /
+      static_cast<double>(cfg_.measure_ns) / num_nodes;
   result_.jain_fairness_index =
-      sum_sq > 0.0 ? sum * sum / (n_nodes * sum_sq) : 0.0;
+      sum_sq > 0.0 ? sum * sum / (num_nodes * sum_sq) : 0.0;
   result_.min_node_accepted_bytes_per_ns = std::max(lo, 0.0);
   result_.max_node_accepted_bytes_per_ns = hi;
 
-  if (!tenant_delivered_.empty()) {
-    result_.tenants.resize(tenant_delivered_.size());
+  if (!d.tenant_latency.empty()) {
+    result_.tenants.resize(d.tenant_latency.size());
     double t_sum = 0.0, t_sum_sq = 0.0;
-    for (std::size_t t = 0; t < tenant_delivered_.size(); ++t) {
+    for (std::size_t t = 0; t < d.tenant_latency.size(); ++t) {
       TenantStats& out = result_.tenants[t];
-      out.delivered_pkts = tenant_delivered_[t];
-      out.accepted_bytes_per_ns = static_cast<double>(tenant_bytes_[t]) /
+      out.delivered_pkts = d.tenant_latency[t].count();
+      out.accepted_bytes_per_ns = static_cast<double>(d.tenant_bytes[t]) /
                                   static_cast<double>(cfg_.measure_ns);
-      out.avg_latency_ns = tenant_latency_[t].mean();
+      out.avg_latency_ns = d.tenant_latency[t].mean();
       t_sum += out.accepted_bytes_per_ns;
       t_sum_sq += out.accepted_bytes_per_ns * out.accepted_bytes_per_ns;
     }
-    const auto n_tenants = static_cast<double>(tenant_delivered_.size());
+    const auto n_tenants = static_cast<double>(d.tenant_latency.size());
     result_.tenant_jain_fairness_index =
         t_sum_sq > 0.0 ? t_sum * t_sum / (n_tenants * t_sum_sq) : 0.0;
   }
 
   if (traffic_.config().kind == TrafficKind::kCentric) {
-    result_.victim_packets = victim_window_.count();
-    result_.hot_packets = hot_window_.count();
-    result_.victim_avg_latency_ns = victim_window_.mean();
-    result_.victim_p99_latency_ns = victim_hist_.quantile(0.99);
-    result_.hot_avg_latency_ns = hot_window_.mean();
-    result_.hot_p99_latency_ns = hot_hist_.quantile(0.99);
+    result_.victim_packets = d.victim.count();
+    result_.hot_packets = d.hot.count();
+    result_.victim_avg_latency_ns = d.victim.mean();
+    result_.victim_p99_latency_ns = d.victim_hist.quantile(0.99);
+    result_.hot_avg_latency_ns = d.hot.mean();
+    result_.hot_p99_latency_ns = d.hot_hist.quantile(0.99);
   }
+  // The delivery books balance: each accumulator partitions the measured
+  // packets, so a shard merge that drops a field fails here.
+  const std::uint64_t n = result_.packets_measured;
+  std::uint64_t per_vl = 0, per_tenant = 0;
+  for (const std::uint64_t c : result_.delivered_per_vl) per_vl += c;
+  for (const TenantStats& t : result_.tenants) per_tenant += t.delivered_pkts;
+  MLID_EXPECT(d.latency.count() == n && d.net_latency.count() == n &&
+                  d.hops.count() == n && d.latency_hist.total() == n &&
+                  per_vl == n && (result_.tenants.empty() || per_tenant == n) &&
+                  (traffic_.config().kind != TrafficKind::kCentric ||
+                   result_.victim_packets + result_.hot_packets == n),
+              "delivery books out of balance");
   result_.cc = collect_cc();
 
   if (sm_ != nullptr) {

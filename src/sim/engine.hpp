@@ -173,9 +173,9 @@ class Simulation {
 
   /// Analytic engine-resident heap footprint in bytes: the packet pool,
   /// the flat per-port / per-VL arrays, source queues, timeline, traces
-  /// and delivery log.  Deliberately *not* an RSS probe, so it is stable
-  /// under sanitizers and across allocators; the scale bench divides it by
-  /// the fabric's port count for the bytes/endport budget.  Excludes the
+  /// and delivery accumulators.  Deliberately *not* an RSS probe, so it is
+  /// stable under sanitizers and across allocators; the scale bench divides
+  /// it by the fabric's port count for the bytes/endport budget.  Excludes the
   /// pending-event queue (bounded by in-flight events, not fabric size)
   /// and the routing tables (CompiledRoutes::memory_bytes()).
   [[nodiscard]] std::size_t memory_footprint() const noexcept;
@@ -230,26 +230,32 @@ class Simulation {
     std::uint64_t queued_pkts = 0;
     std::uint64_t generated = 0;  ///< per-source Packet::corder counter
   };
-  struct MsgState {
-    std::uint32_t remaining_segments = 0;
-    SimTime completed_at = -1;
-  };
-  /// Everything accumulate_delivery() needs from one delivered packet.  In a
-  /// multi-shard run each shard logs these instead of feeding its own
-  /// Welford accumulators; the sharded engine replays the global log on
-  /// shard 0 in event order, so the order-sensitive running statistics see
-  /// the exact sequence a one-shard run produces.
-  struct DeliveryRecord {
-    SimTime time = 0;
-    DeviceId dev = kInvalidDevice;
-    VlId vl = 0;
-    std::uint64_t corder = 0;
-    SimTime generated_at = 0;
-    SimTime injected_at = 0;
-    std::uint32_t size_bytes = 0;
-    NodeId dst = kInvalidNode;
-    std::uint16_t hops = 0;
-    MessageId msg = kNoMessage;
+  /// Every per-delivery accumulator, fed by on_deliver.  All hold integer
+  /// counts, sums or maxima, so merge() folds the shards of a run, in any
+  /// order, into exactly what one shard would have collected.
+  struct DeliveryStats {
+    // Measurement window only.
+    ExactStats latency;      ///< generation -> delivery
+    ExactStats net_latency;  ///< injection -> delivery
+    ExactStats hops;
+    Histogram latency_hist{0.0, 400'000.0, 4000};
+    std::vector<ExactStats> latency_per_vl;
+    std::vector<std::uint64_t> bytes_per_node;
+    // Hot-spot victim breakdown (only fed on kCentric traffic).
+    ExactStats victim, hot;
+    Histogram victim_hist{0.0, 400'000.0, 4000};
+    Histogram hot_hist{0.0, 400'000.0, 4000};
+    // Multi-tenant accounting by tenant id (empty unless tenants are on).
+    std::vector<ExactStats> tenant_latency;
+    std::vector<std::uint64_t> tenant_bytes;
+    // Telemetry views (only fed with cfg_.telemetry), see SimResult.
+    Log2Histogram latency_log2, queue_log2, network_log2;
+    std::vector<Log2Histogram> latency_log2_per_vl;
+    // Whole run.
+    SimTime last = 0;         ///< latest delivery
+    ExactStats msg_latency;   ///< burst message completion times
+    Log2Histogram msg_latency_hist;
+    void merge(const DeliveryStats& other);
   };
 
   /// Per-HCA congestion-control state (only populated when cfg_.cc.enabled).
@@ -368,10 +374,6 @@ class Simulation {
   /// Delivers a boundary event from another shard into the local queue,
   /// re-homing a carried packet into the local pool.
   void receive(const ShardMessage& msg);
-  /// Feeds one delivered packet into the order-sensitive accumulators
-  /// (Welford windows, histograms, per-VL/per-node tallies, burst message
-  /// completion).  Factored out of on_deliver so sharded runs can replay.
-  void accumulate_delivery(const DeliveryRecord& rec);
   /// Tail of run(): assembles SimResult from the accumulated state.  Event
   /// totals are parameters so the driver can pass fleet-wide sums.
   [[nodiscard]] SimResult finalize_open_loop(std::uint64_t events_processed,
@@ -426,8 +428,7 @@ class Simulation {
   const Subnet* subnet_;
   SubnetManager* sm_ = nullptr;  ///< live tables + SM state machine, optional
   ShardBinding shard_;
-  std::vector<ShardMessage> outbox_;        ///< shard mode: other shards' events
-  std::vector<DeliveryRecord> deliveries_;  ///< shard mode only
+  std::vector<ShardMessage> outbox_;  ///< shard mode: other shards' events
   SimConfig cfg_;
   TrafficPattern traffic_;
   double offered_load_;
@@ -523,37 +524,15 @@ class Simulation {
   SimResult result_;
   std::vector<PacketTraceRecord> traces_;
   std::vector<PendingTraceEvent> trace_arena_;
-  OnlineStats latency_window_;
-  OnlineStats net_latency_window_;
-  OnlineStats hops_window_;
-  Histogram latency_hist_;
-  // Hot-spot victim breakdown (only fed on kCentric traffic).
-  OnlineStats victim_window_;
-  OnlineStats hot_window_;
-  Histogram victim_hist_;
-  Histogram hot_hist_;
-  std::uint64_t bytes_accepted_window_ = 0;
-  std::vector<std::uint64_t> delivered_per_vl_;
-  std::vector<OnlineStats> latency_per_vl_;
-  std::vector<std::uint64_t> bytes_per_node_;
-  // Multi-tenant accounting, indexed by tenant id (empty unless
-  // cfg_.tenants.count > 0).  Fed from accumulate_delivery, so sharded runs
-  // pick it up through the canonical delivery-log replay for free.
-  std::vector<std::uint64_t> tenant_delivered_;
-  std::vector<std::uint64_t> tenant_bytes_;
-  std::vector<OnlineStats> tenant_latency_;
+  DeliveryStats delivery_;
   [[nodiscard]] int tenant_of(NodeId node) const noexcept {
     return tenant_of_node(node, cfg_.tenants.count,
-                          static_cast<std::uint32_t>(bytes_per_node_.size()));
+                          static_cast<std::uint32_t>(nodes_.size()));
   }
 
   // --- burst (closed-loop) mode ----------------------------------------------
   bool burst_ = false;
-  std::vector<MsgState> msgs_;
-  OnlineStats msg_latency_;
-  Log2Histogram msg_latency_hist_;
-  SimTime last_delivery_ = 0;
-  std::uint64_t burst_packets_ = 0;
+  std::vector<std::uint32_t> msgs_;  ///< segments not yet delivered, by id
   std::uint64_t burst_bytes_ = 0;
 };
 

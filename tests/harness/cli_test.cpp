@@ -193,6 +193,37 @@ TEST(CliDeathTest, NegativeFailLinksIsRejected) {
               "--fail-links cannot be negative");
 }
 
+// The fault times are checked with or without --fail-links: FaultSchedule
+// would otherwise abort on them mid-run.
+TEST(CliDeathTest, NegativeFailAtIsRejected) {
+  EXPECT_EXIT(parse({"--fail-links=2", "--fail-at-ns=-5"}),
+              ::testing::ExitedWithCode(2), "--fail-at-ns cannot be negative");
+  EXPECT_EXIT(parse({"--fail-at-ns=-5"}), ::testing::ExitedWithCode(2),
+              "--fail-at-ns cannot be negative");
+}
+
+TEST(CliDeathTest, ExplicitNegativeRecoverAtIsRejected) {
+  // -1 is the "never" default, but only when the flag is absent.
+  EXPECT_EXIT(parse({"--fail-links=2", "--recover-at-ns=-1"}),
+              ::testing::ExitedWithCode(2),
+              "--recover-at-ns cannot be negative");
+  EXPECT_EXIT(parse({"--recover-at-ns=-1"}), ::testing::ExitedWithCode(2),
+              "--recover-at-ns cannot be negative");
+}
+
+TEST(CliDeathTest, RecoveryNotAfterTheFailureIsRejected) {
+  EXPECT_EXIT(parse({"--fail-links=2", "--fail-at-ns=5000",
+                     "--recover-at-ns=1000"}),
+              ::testing::ExitedWithCode(2),
+              "--recover-at-ns must be later than --fail-at-ns");
+  EXPECT_EXIT(parse({"--fail-at-ns=5000", "--recover-at-ns=5000"}),
+              ::testing::ExitedWithCode(2),
+              "--recover-at-ns must be later than --fail-at-ns");
+  // Against the default --fail-at-ns (20000).
+  EXPECT_EXIT(parse({"--recover-at-ns=1000"}), ::testing::ExitedWithCode(2),
+              "--recover-at-ns must be later than --fail-at-ns");
+}
+
 TEST(CliDeathTest, TenantVlMapWithoutTenantsIsRejected) {
   EXPECT_EXIT(parse({"--vl-map=tenant"}), ::testing::ExitedWithCode(2),
               "the tenant VL map needs tenants");

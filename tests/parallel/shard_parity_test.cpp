@@ -2,8 +2,8 @@
 // count and every thread count must produce results bit-identical to the
 // one-shard run -- open-loop, burst, live-SM fault, and congestion-control
 // scenarios alike.  Comparison goes through the JSON export, which
-// serializes every public result field (including Welford-derived latency
-// moments, so float rounding is part of the contract).
+// serializes every public result field (including the latency means, so
+// float rounding is part of the contract).
 #include <gtest/gtest.h>
 
 #include <cstdint>

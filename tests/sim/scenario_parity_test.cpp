@@ -33,7 +33,7 @@ SimResult run_once(const Subnet& subnet, const SimConfig& cfg,
 TEST(ScenarioParity, AccountingOnlyTenancyDoesNotPerturbTheRun) {
   // Same fabric, same traffic partition; the only delta is whether the
   // engine keeps per-tenant books.  Every non-tenant observable must be
-  // byte-identical: accounting is a read-only tap on accumulate_delivery.
+  // byte-identical: accounting is a read-only tap on on_deliver.
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 99};
@@ -102,8 +102,9 @@ TEST(ScenarioParity, VlBindingPinsEachTenantToItsLane) {
 }
 
 TEST(ScenarioParity, ShardedTenantAccountingMatchesOneShard) {
-  // Tenant books are fed from the delivery-log replay, so every partition
-  // and thread count must reproduce the one-shard books exactly.
+  // Each shard keeps tenant books for its own deliveries and the merge
+  // adds them up, so every partition and thread count must reproduce the
+  // one-shard books exactly.
   const FatTreeFabric fabric{FatTreeParams(4, 3)};
   const Subnet subnet(fabric, "MLID");
   TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 47};
