@@ -7,8 +7,10 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "harness/report.hpp"
 #include "routing/fat_tree_routing.hpp"
 #include "routing/load_analysis.hpp"
@@ -77,7 +79,7 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   SimTime t = 0;
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
-      q.push(t + (i * 37) % 1000, EventKind::kTryTx, 0);
+      q.push(t + (i * 37) % 1000, EventKind::kTailOut, 0);
     }
     for (int i = 0; i < 64; ++i) {
       benchmark::DoNotOptimize(q.pop());
@@ -88,6 +90,42 @@ void BM_EventQueuePushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueuePushPop<HeapEventQueue>);
 BENCHMARK(BM_EventQueuePushPop<EventQueue>);
+
+// The FT(16,4) shape: about 12 k events in one 64 ns epoch, drained while
+// one pop in eight schedules back into that epoch (the stream of
+// EventQueueParity.DenseEpochWithPushesIntoTheDrainingEpoch).  Each
+// iteration drains one such epoch.
+template <typename Queue>
+void BM_EventQueueDenseEpoch(benchmark::State& state) {
+  constexpr SimTime kWidth = 64;
+  Xoshiro256 rng(13);
+  std::vector<std::pair<SimTime, DeviceId>> batch(12'000);
+  for (auto& [offset, dev] : batch) {
+    offset = static_cast<SimTime>(rng.below(kWidth));
+    dev = static_cast<DeviceId>(rng.below(8'192));
+  }
+  Queue q;
+  SimTime epoch = 0;
+  std::int64_t pops = 0;
+  for (auto _ : state) {
+    for (const auto& [offset, dev] : batch) {
+      q.push(epoch + offset, EventKind::kCreditArrive, dev);
+    }
+    while (!q.empty()) {
+      const Event e = q.pop();
+      benchmark::DoNotOptimize(e);
+      const SimTime left = epoch + kWidth - e.time;
+      if (++pops % 8 == 0 && left > 0) {
+        q.push(e.time + static_cast<SimTime>(e.dev) % left,
+               EventKind::kTailOut, e.dev);
+      }
+    }
+    epoch += kWidth;
+  }
+  state.SetItemsProcessed(pops);
+}
+BENCHMARK(BM_EventQueueDenseEpoch<HeapEventQueue>);
+BENCHMARK(BM_EventQueueDenseEpoch<EventQueue>);
 
 void BM_TracePath(benchmark::State& state) {
   const FatTreeFabric fabric{FatTreeParams(8, 3)};

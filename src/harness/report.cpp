@@ -348,7 +348,7 @@ void emit_profile_summary(JsonWriter& json, const ProfileSummary& p) {
   json.key("queue_pushes").value(p.queue_pushes);
   json.key("queue_pops").value(p.queue_pops);
   json.key("queue_overflow_pushes").value(p.queue_overflow_pushes);
-  json.key("queue_resizes").value(p.queue_resizes);
+  json.key("queue_side_pushes").value(p.queue_side_pushes);
   json.key("shard_phases").begin_array();
   for (const ShardPhaseProfile& s : p.shard_phases) {
     json.begin_object();
@@ -367,7 +367,7 @@ void emit_queue_stats(JsonWriter& json, const EventQueueStats& q) {
   json.key("buckets").value(static_cast<std::uint64_t>(q.buckets));
   json.key("bucket_width_ns")
       .value(static_cast<std::int64_t>(q.bucket_width_ns));
-  json.key("resizes").value(static_cast<std::uint64_t>(q.resizes));
+  json.key("side_pushes").value(q.side_pushes);
   json.key("overflow_pushes").value(q.overflow_pushes);
   json.key("max_overflow_depth").value(q.max_overflow_depth);
   json.key("max_bucket_events").value(q.max_bucket_events);
@@ -540,6 +540,9 @@ std::string BenchReport::to_json() const {
 
   JsonWriter json;
   json.begin_object();
+  // v10: the ladder ring no longer grows -- "event_queue" replaces
+  // "resizes" with "side_pushes" (pushes into an epoch already draining),
+  // and the profile's "queue_resizes" becomes "queue_side_pushes".
   // v9: one event queue -- the manifest's "event_queue" block loses its
   // "kind" key, and the default VL map is named "random" (was "none").
   // v8: engine self-profile -- every point manifest carries a "profile"
@@ -552,7 +555,7 @@ std::string BenchReport::to_json() const {
   // bytes_per_endport (engine hot state + compiled routing tables over
   // total fabric ports), the scale metric CI regresses on; v4 added the
   // actual parallelism (worker threads + engine shards) per point.
-  json.key("schema").value("mlid-bench-v9");
+  json.key("schema").value("mlid-bench-v10");
   json.key("name").value(name_);
   json.key("manifest").begin_object();
   json.key("git").value(git_describe());

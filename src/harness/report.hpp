@@ -68,7 +68,7 @@ std::string to_json(const FigureSpec& spec,
 
 /// Collects everything one bench binary produced -- standalone results,
 /// burst results, whole figure sweeps -- and writes them as a single
-/// `BENCH_<name>.json` (schema "mlid-bench-v9") whose manifest records the
+/// `BENCH_<name>.json` (schema "mlid-bench-v10") whose manifest records the
 /// configuration (seed, threads, quick), the build (git describe) and the
 /// host cost (wall seconds, events processed, events/sec).  Every bench
 /// executable emits one of these so runs are diffable across machines and

@@ -86,7 +86,7 @@ struct ProfileSummary {
   std::uint64_t queue_pushes = 0;          ///< lifetime schedules
   std::uint64_t queue_pops = 0;            ///< lifetime dispatches
   std::uint64_t queue_overflow_pushes = 0; ///< ladder respills past horizon
-  std::uint64_t queue_resizes = 0;         ///< ladder ring doublings
+  std::uint64_t queue_side_pushes = 0;     ///< pushes into a draining epoch
 
   /// One entry per shard, indexed by shard id.  Sequential runs carry a
   /// single entry.

@@ -194,7 +194,6 @@ void ShardedSimulation::merge_into_root() {
       copy_range(r.port_packets_tx_, s.port_packets_tx_, lo, hi);
       copy_range(r.port_wrr_vl_, s.port_wrr_vl_, lo, hi);
       copy_range(r.port_wrr_budget_, s.port_wrr_budget_, lo, hi);
-      copy_range(r.port_retry_, s.port_retry_, lo, hi);
       copy_range(r.port_connected_, s.port_connected_, lo, hi);
       const std::size_t vlo = lo * r.vls_;
       const std::size_t vhi = hi * r.vls_;

@@ -67,7 +67,7 @@ SimResult Driver::run(const WindowDrain& drain, const Merge& merge) {
     profile_.queue_pushes = qs.events_scheduled;
     profile_.queue_pops = qs.events_processed;
     profile_.queue_overflow_pushes = qs.overflow_pushes;
-    profile_.queue_resizes = qs.resizes;
+    profile_.queue_side_pushes = qs.side_pushes;
     r.profile_ = profile_;
   }
   r.materialize_traces();
@@ -407,7 +407,7 @@ EventQueueStats Driver::queue_stats(std::span<const Simulation> shards) {
     sum.events_processed += q.events_processed;
     sum.buckets = std::max(sum.buckets, q.buckets);
     sum.bucket_width_ns = std::max(sum.bucket_width_ns, q.bucket_width_ns);
-    sum.resizes += q.resizes;
+    sum.side_pushes += q.side_pushes;
     sum.overflow_pushes += q.overflow_pushes;
     sum.max_overflow_depth =
         std::max(sum.max_overflow_depth, q.max_overflow_depth);

@@ -145,7 +145,6 @@ Simulation::Simulation(const Subnet& subnet, SimConfig config,
   port_packets_tx_.assign(num_fp, 0);
   port_wrr_vl_.assign(num_fp, 0);
   port_wrr_budget_.assign(num_fp, 0);
-  port_retry_.assign(num_fp, 0);
   port_connected_.assign(num_fp, 0);
   vl_q_.assign(num_fp * vls_, PacketQueue{});
   vl_wait_.assign(num_fp * vls_, PacketQueue{});
@@ -580,16 +579,11 @@ void Simulation::accumulate_utilization(std::size_t fp, SimTime start,
 
 void Simulation::try_tx(DeviceId dev, PortId port, SimTime now) {
   const std::size_t fp = port_index(dev, port);
-  // A port can go down mid-run with credit returns / retries still queued
-  // against it; those late events are simply void.
+  // A port can go down mid-run with credit returns still queued against
+  // it; those late events are simply void.
   if (!port_connected_[fp]) return;
-  if (port_busy_until_[fp] > now) {
-    if (!port_retry_[fp]) {
-      port_retry_[fp] = 1;
-      schedule(port_busy_until_[fp], EventKind::kTryTx, dev, port);
-    }
-    return;
-  }
+  // A busy port needs no retry: the tail-out that frees it calls try_tx.
+  if (port_busy_until_[fp] > now) return;
   // Weighted round-robin VL arbitration (IBA VLArb): the current VL may
   // send up to its weight's worth of packets per round before yielding to
   // the next eligible VL; with no weights configured every VL weighs 1,
@@ -1246,8 +1240,7 @@ std::size_t Simulation::memory_footprint() const noexcept {
   total += vec_bytes(port_base_) + vec_bytes(port_peer_) +
            vec_bytes(port_busy_until_) + vec_bytes(port_busy_in_window_) +
            vec_bytes(port_packets_tx_) + vec_bytes(port_wrr_vl_) +
-           vec_bytes(port_wrr_budget_) + vec_bytes(port_retry_) +
-           vec_bytes(port_connected_);
+           vec_bytes(port_wrr_budget_) + vec_bytes(port_connected_);
   total += vec_bytes(vl_q_) + vec_bytes(vl_wait_) + vec_bytes(vl_free_slots_) +
            vec_bytes(vl_credits_) + vec_bytes(vl_tx_pkt_) +
            vec_bytes(vl_cc_stall_since_) + vec_bytes(vl_cold_);
@@ -1309,10 +1302,6 @@ void Simulation::dispatch(const Event& e) {
       try_tx(e.dev, e.port, e.time);
       break;
     }
-    case EventKind::kTryTx:
-      port_retry_[port_index(e.dev, e.port)] = 0;
-      try_tx(e.dev, e.port, e.time);
-      break;
     case EventKind::kDeliver:
       on_deliver(e.dev, e.port, e.vl, e.pkt, e.time);
       break;
@@ -1600,8 +1589,7 @@ std::string Simulation::stall_report() const {
            << ": out_q=" << queue.size
            << " started=" << (vl_tx_pkt_[vs] != kInvalidPacket)
            << " credits=" << vl_credits_[vs] << " waitq=" << waitq.size
-           << " busy_until=" << port_busy_until_[fp]
-           << " retry=" << bool(port_retry_[fp]) << "\n";
+           << " busy_until=" << port_busy_until_[fp] << "\n";
         for (PacketId pkt = queue.head; pkt != kInvalidPacket;
              pkt = pool_.next_of(pkt)) {
           os << "    out pkt " << pkt << " src=" << pool_.get(pkt).src

@@ -156,7 +156,7 @@ class Simulation {
 
   /// Internals of the pending-event queue this run executed on
   /// (scheduled/processed counts including the control plane, ladder bucket
-  /// occupancy / resizes / overflow depth).  Pure host-performance
+  /// occupancy / side pushes / overflow depth).  Pure host-performance
   /// metadata: the pop order, and so every result, is fixed by the event
   /// order alone.
   [[nodiscard]] EventQueueStats queue_stats() const noexcept {
@@ -452,7 +452,6 @@ class Simulation {
   std::vector<std::uint64_t> port_packets_tx_;
   std::vector<std::int32_t> port_wrr_vl_;      ///< VL whose round is running
   std::vector<std::int32_t> port_wrr_budget_;  ///< packets it may still send
-  std::vector<std::uint8_t> port_retry_;       ///< a kTryTx is already queued
   std::vector<std::uint8_t> port_connected_;
   // Indexed by (port, VL) slot vs:
   std::vector<PacketQueue> vl_q_;     ///< granted packets awaiting the wire

@@ -8,9 +8,9 @@
 //
 // EventQueue, the engine's queue for the data and the control plane, is a
 // calendar/ladder queue: an array of epoch buckets covering the near time
-// horizon plus a sorted overflow tier for far-future events, amortized
-// O(1) per event.  Its pop order is checked field for field against a
-// plain binary-heap oracle over the same order
+// horizon, a sorted overflow tier for far-future events and a side heap for
+// pushes into the epoch being drained.  Its pop order is checked field for
+// field against a plain binary-heap oracle over the same order
 // (tests/sim/heap_event_queue.hpp).
 #pragma once
 
@@ -34,7 +34,6 @@ enum class EventKind : std::uint8_t {
   kRouted,        ///< routing delay elapsed; request an output
   kTailOut,       ///< packet tail finished leaving (dev, port, vl)
   kCreditArrive,  ///< one credit returned to out port (dev, port, vl)
-  kTryTx,         ///< re-attempt link transmission on out port (dev, port)
   kDeliver,       ///< packet tail fully received by destination node
   // --- live Subnet Manager (only scheduled when an SM is attached) ----------
   kLinkFail,      ///< the link leaving (dev, port) dies now
@@ -60,8 +59,6 @@ enum class EventKind : std::uint8_t {
       return "tail-out";
     case EventKind::kCreditArrive:
       return "credit-arrive";
-    case EventKind::kTryTx:
-      return "try-tx";
     case EventKind::kDeliver:
       return "deliver";
     case EventKind::kLinkFail:
@@ -105,9 +102,10 @@ struct EventQueueStats {
   std::uint64_t events_scheduled = 0;  ///< pushes (lifetime)
   std::uint64_t events_processed = 0;  ///< pops (lifetime)
   // --- ladder internals ------------------------------------------------------
-  std::uint32_t buckets = 0;             ///< current ring size
+  std::uint32_t buckets = 0;             ///< ring size
   SimTime bucket_width_ns = 0;           ///< simulated time per bucket
-  std::uint32_t resizes = 0;             ///< ring doublings under load
+  std::uint32_t resizes = 0;             ///< always 0; bench/perf reads it
+  std::uint64_t side_pushes = 0;         ///< pushes into a draining epoch
   std::uint64_t overflow_pushes = 0;     ///< events that missed the horizon
   std::uint64_t max_overflow_depth = 0;  ///< deepest the overflow tier got
   std::uint64_t max_bucket_events = 0;   ///< largest single epoch drain
@@ -153,29 +151,29 @@ struct EventLater {
 /// The engine's pending-event set: a ladder/calendar queue that also owns
 /// the sequence numbering, the monotonic-time contract and the
 /// scheduled/processed counters.  Simulated time is divided into fixed-width
-/// epochs; an epoch's bucket lives in a power-of-two ring covering the
-/// near horizon [current epoch, current epoch + buckets).  Pushes inside
-/// the horizon append to their epoch's bucket (O(1)); pushes beyond it go
-/// to a heap-ordered overflow tier.  When an epoch becomes current its
-/// bucket is sorted once by the event order and drained through a cursor;
+/// epochs; an epoch's bucket lives in a fixed ring covering the near
+/// horizon [current epoch, current epoch + kBuckets).  Pushes inside the
+/// horizon append to their epoch's bucket (O(1)); pushes beyond it go to a
+/// heap-ordered overflow tier.  When an epoch becomes current its bucket is
+/// copied out, sorted once by the event order and drained through a cursor;
 /// events scheduled *into the active epoch* while it drains (common: a
-/// handler scheduling work a few ns ahead) are merge-inserted beyond the
-/// cursor, preserving the exact total order.  Before any epoch drains,
-/// overflow events that the advancing horizon now covers are pulled into
-/// their buckets, so the tiers can never disagree about order.  The ring
-/// doubles (a "resize") when occupancy crowds the buckets.
+/// handler scheduling work a few ns ahead) go to a side heap, and the next
+/// event is the earlier of its top and the cursor's, preserving the exact
+/// total order at O(log n) per push.  Before any epoch drains, overflow
+/// events that the advancing horizon now covers are pulled into their
+/// buckets, so the tiers can never disagree about order.
 class EventQueue {
  public:
   /// 64 ns buckets: finer than the engine's dominant deltas (routing 100 ns,
   /// wire 256 ns) so an epoch drain stays small, coarse enough that the
-  /// default ring covers a 16 us horizon.
+  /// ring covers a 16 us horizon.
   static constexpr int kWidthLog2 = 6;
-  static constexpr std::size_t kDefaultBuckets = 256;  // power of two
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-  /// Ring doubles when it averages more than this many events per bucket.
-  static constexpr std::size_t kResizeLoad = 8;
+  static constexpr std::size_t kBuckets = 256;  // power of two
+  /// A drained bucket with room for more events than this frees its buffer,
+  /// so a dense epoch does not pin its peak for the rest of the run.
+  static constexpr std::size_t kBucketCap = 256;
 
-  EventQueue() : ring_(kDefaultBuckets) {}
+  EventQueue() : ring_(kBuckets) {}
 
   void push(SimTime time, EventKind kind, DeviceId dev, PortId port = 0,
             VlId vl = 0, PacketId pkt = kInvalidPacket,
@@ -186,25 +184,15 @@ class EventQueue {
     const std::uint64_t ep = epoch_of(time);
     if (draining_ && ep <= cur_epoch_) {
       // Arrival into (or, after a peek advanced the horizon, before) the
-      // active epoch: merge beyond the drain cursor.  e.seq is larger than
-      // every queued seq, so upper_bound lands it after all already-pending
-      // events with the same order key.  A same-timestamp event with a
-      // smaller content key than an already-popped one clamps to the
-      // cursor, which is exactly where a heap would pop it next.
-      const auto it =
-          std::upper_bound(drain_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                           drain_.end(), e, earlier_);
-      drain_.insert(it, e);
+      // active epoch: the side heap orders it exactly as a heap would.
+      side_.push(e);
+      ++side_pushes_;
       return;
     }
     MLID_ASSERT(ep >= cur_epoch_, "event epoch behind the drained horizon");
     if (ep - cur_epoch_ < ring_.size()) {
       ring_[ep & (ring_.size() - 1)].push_back(e);
       ++ring_count_;
-      if (ring_count_ > ring_.size() * kResizeLoad &&
-          ring_.size() < kMaxBuckets) {
-        grow();
-      }
     } else {
       overflow_.push(e);
       ++overflow_pushes_;
@@ -221,15 +209,15 @@ class EventQueue {
   /// the next epoch sorts its bucket into the drain run.
   [[nodiscard]] const Event* peek() {
     if (size_ == 0) return nullptr;
-    prepare();
-    return &drain_[pos_];
+    return next_is_side() ? &side_.top() : &drain_[pos_];
   }
 
   Event pop() {
     MLID_EXPECT(!empty(), "popping an empty event queue");
-    prepare();
+    const bool side = next_is_side();
+    const Event e = side ? side_.top() : drain_[pos_++];
+    if (side) side_.pop();
     --size_;
-    const Event e = drain_[pos_++];
     last_popped_ = e.time;
     ++pops_;
     return e;
@@ -258,13 +246,21 @@ class EventQueue {
     return pops_;
   }
 
+  /// Events the roomiest ring bucket has room for.  Once every bucket has
+  /// drained it is at most kBucketCap.
+  [[nodiscard]] std::size_t max_bucket_capacity() const noexcept {
+    std::size_t cap = 0;
+    for (const auto& bucket : ring_) cap = std::max(cap, bucket.capacity());
+    return cap;
+  }
+
   [[nodiscard]] EventQueueStats stats() const noexcept {
     EventQueueStats s;
     s.events_scheduled = next_seq_;
     s.events_processed = pops_;
     s.buckets = static_cast<std::uint32_t>(ring_.size());
     s.bucket_width_ns = SimTime{1} << kWidthLog2;
-    s.resizes = resizes_;
+    s.side_pushes = side_pushes_;
     s.overflow_pushes = overflow_pushes_;
     s.max_overflow_depth = max_overflow_depth_;
     s.max_bucket_events = max_bucket_events_;
@@ -276,9 +272,21 @@ class EventQueue {
     return static_cast<std::uint64_t>(t) >> kWidthLog2;
   }
 
-  /// Ensures drain_[pos_] is the globally next event.  Pre: size_ > 0.
+  /// Whether the globally next event is the side heap's top rather than
+  /// drain_[pos_]; drains the next epoch when both are spent.  Side events
+  /// lie at or before the draining epoch, so they precede every bucket.
+  /// Pre: size_ > 0.
+  bool next_is_side() {
+    if (pos_ == drain_.size()) {
+      if (!side_.empty()) return true;
+      prepare();
+    }
+    return !side_.empty() && earlier_(side_.top(), drain_[pos_]);
+  }
+
+  /// Makes the next epoch holding events the drain run.  Pre: the drain run
+  /// and the side heap are spent, and size_ > 0.
   void prepare() {
-    if (pos_ < drain_.size()) return;
     drain_.clear();
     pos_ = 0;
     // Next epoch holding events: the nearest non-empty ring bucket or the
@@ -305,34 +313,28 @@ class EventQueue {
       overflow_.pop();
       ++ring_count_;
     }
+    // Copied, not swapped, so that only the drain run keeps a large buffer.
     auto& bucket = ring_[cur_epoch_ & (ring_.size() - 1)];
-    drain_.swap(bucket);
+    drain_.assign(bucket.begin(), bucket.end());
     bucket.clear();
+    if (bucket.capacity() > kBucketCap) std::vector<Event>().swap(bucket);
     ring_count_ -= drain_.size();
     std::sort(drain_.begin(), drain_.end(), earlier_);
     max_bucket_events_ =
         std::max(max_bucket_events_, static_cast<std::uint64_t>(drain_.size()));
   }
 
-  void grow() {
-    std::vector<std::vector<Event>> wider(ring_.size() * 2);
-    for (auto& bucket : ring_) {
-      for (const Event& e : bucket) {
-        wider[epoch_of(e.time) & (wider.size() - 1)].push_back(e);
-      }
-    }
-    ring_.swap(wider);
-    ++resizes_;
-  }
-
   static constexpr std::uint64_t kNoEpoch =
       std::numeric_limits<std::uint64_t>::max();
 
+  using MinHeap =
+      std::priority_queue<Event, std::vector<Event>, detail::EventLater>;
+
   detail::EventCompare earlier_;
-  std::priority_queue<Event, std::vector<Event>, detail::EventLater>
-      overflow_;
+  MinHeap overflow_;
   std::vector<std::vector<Event>> ring_;  ///< epoch e -> ring_[e & mask]
   std::vector<Event> drain_;  ///< current epoch, sorted; pos_ is the cursor
+  MinHeap side_;              ///< pushes at or before the draining epoch
   std::size_t pos_ = 0;
   std::uint64_t cur_epoch_ = 0;
   bool draining_ = false;   ///< cur_epoch_'s bucket has been claimed by drain_
@@ -341,7 +343,7 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t pops_ = 0;
   SimTime last_popped_ = 0;
-  std::uint32_t resizes_ = 0;
+  std::uint64_t side_pushes_ = 0;
   std::uint64_t overflow_pushes_ = 0;
   std::uint64_t max_overflow_depth_ = 0;
   std::uint64_t max_bucket_events_ = 0;

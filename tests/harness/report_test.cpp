@@ -192,7 +192,7 @@ TEST(Report, BenchReportEmitsTheSchema) {
   b.events_processed = 50;
   report.add("burst-b", b);
   const std::string json = report.to_json();
-  EXPECT_NE(json.find("\"schema\":\"mlid-bench-v9\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"mlid-bench-v10\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"unit_bench\""), std::string::npos);
   EXPECT_NE(json.find("\"git\""), std::string::npos);
   EXPECT_NE(json.find("\"seed\":9"), std::string::npos);
@@ -314,7 +314,7 @@ TEST(Report, BenchReportWritesItsFile) {
   buf << in.rdbuf();
   // wall_seconds advances between serializations, so compare structure,
   // not the exact bytes.
-  EXPECT_NE(buf.str().find("\"schema\":\"mlid-bench-v9\""), std::string::npos);
+  EXPECT_NE(buf.str().find("\"schema\":\"mlid-bench-v10\""), std::string::npos);
   EXPECT_NE(buf.str().find("\"name\":\"write_test\""), std::string::npos);
   EXPECT_EQ(buf.str().back(), '\n');
   std::remove(path.c_str());

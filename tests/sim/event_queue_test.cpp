@@ -31,7 +31,7 @@ TYPED_TEST_SUITE(EventQueueTest, QueueTypes, QueueTypeName);
 
 TYPED_TEST(EventQueueTest, PopsInTimeOrder) {
   TypeParam q;
-  q.push(30, EventKind::kTryTx, 1);
+  q.push(30, EventKind::kTailOut, 1);
   q.push(10, EventKind::kGenerate, 2);
   q.push(20, EventKind::kDeliver, 3);
   EXPECT_EQ(q.size(), 3u);
@@ -44,7 +44,7 @@ TYPED_TEST(EventQueueTest, PopsInTimeOrder) {
 TYPED_TEST(EventQueueTest, SimultaneousEventsPopInContentOrder) {
   TypeParam q;
   for (DeviceId dev = 10; dev-- > 0;) {
-    q.push(5, EventKind::kTryTx, dev);
+    q.push(5, EventKind::kTailOut, dev);
   }
   for (DeviceId dev = 0; dev < 10; ++dev) {
     EXPECT_EQ(q.pop().dev, dev);
@@ -81,7 +81,7 @@ TEST(EventQueueTest, PopEmptyThrows) {
 TEST(EventQueueTest, PeekReturnsNextWithoutRemoving) {
   EventQueue q;
   EXPECT_EQ(q.peek(), nullptr);
-  q.push(20, EventKind::kTryTx, 2);
+  q.push(20, EventKind::kTailOut, 2);
   q.push(10, EventKind::kGenerate, 1);
   const Event* e = q.peek();
   ASSERT_NE(e, nullptr);
@@ -102,7 +102,7 @@ TEST(EventQueueTest, PushAtTheLastPoppedTimestampIsLegal) {
   EventQueue q;
   q.push(100, EventKind::kGenerate, 1);
   (void)q.pop();
-  q.push(100, EventKind::kTryTx, 2);  // same instant: fine, later seq
+  q.push(100, EventKind::kTailOut, 2);  // same instant: fine, later seq
   EXPECT_EQ(q.pop().dev, 2u);
 }
 
@@ -147,7 +147,7 @@ TEST(EventQueueTest, DrainUntilStopsAtTheBoundary) {
   std::vector<DeviceId> seen;
   q.drain_until(90, [&](const Event& e) {
     seen.push_back(e.dev);
-    if (e.dev == 1) q.push(60, EventKind::kTryTx, 4);  // scheduled mid-drain
+    if (e.dev == 1) q.push(60, EventKind::kTailOut, 4);  // scheduled mid-drain
   });
   EXPECT_EQ(seen, (std::vector<DeviceId>{1, 2, 4}));
   EXPECT_EQ(q.size(), 1u);  // the t=90 event is not strictly before 90
@@ -167,26 +167,33 @@ TEST(LadderInternals, FarFutureEventsGoThroughOverflowAndComeBackInOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(LadderInternals, RingDoublesUnderLoadAndStaysOrdered) {
+TEST(LadderInternals, DenseEpochDrainsInOrderThroughTheSideHeap) {
   EventQueue q;
-  const std::uint32_t before = q.stats().buckets;
-  // Cram far more events into the horizon than kResizeLoad allows per
-  // bucket; the ring must double (at least once) and lose nothing.
+  // 6000 events in one 64 ns epoch, far more than a bucket keeps room for.
   constexpr int kEvents = 6000;
   for (int i = 0; i < kEvents; ++i) {
-    q.push((i * 13) % 16'000, EventKind::kTryTx,
-           static_cast<DeviceId>(i));
+    q.push(640 + (i * 13) % 64, EventKind::kTailOut, static_cast<DeviceId>(i));
   }
-  const EventQueueStats s = q.stats();
-  EXPECT_GT(s.resizes, 0u);
-  EXPECT_GT(s.buckets, before);
-  SimTime prev = 0;
-  for (int i = 0; i < kEvents; ++i) {
+  EXPECT_GT(q.max_bucket_capacity(), EventQueue::kBucketCap);
+  Event prev = q.pop();
+  // The epoch is drained from a copy, and its outsized bucket is freed.
+  EXPECT_LE(q.max_bucket_capacity(), EventQueue::kBucketCap);
+  const detail::EventCompare earlier;
+  int popped = 1;
+  while (!q.empty()) {
     const Event e = q.pop();
-    EXPECT_GE(e.time, prev);
-    prev = e.time;
+    EXPECT_TRUE(earlier(prev, e)) << "pop " << popped;
+    prev = e;
+    // Every third pop schedules into the draining epoch (it ends at 704),
+    // strictly after now, so each pop is strictly later than the last.
+    if (++popped % 3 == 0 && e.time < 703) {
+      q.push(e.time + 1 + (popped / 3) % (703 - e.time), EventKind::kRouted,
+             static_cast<DeviceId>(popped));
+    }
   }
-  EXPECT_TRUE(q.empty());
+  EXPECT_GT(q.stats().side_pushes, 0u);
+  EXPECT_EQ(q.stats().side_pushes + kEvents, q.events_processed());
+  EXPECT_LE(q.max_bucket_capacity(), EventQueue::kBucketCap);
 }
 
 TEST(LadderInternals, StatsDescribeTheLadder) {
@@ -194,7 +201,7 @@ TEST(LadderInternals, StatsDescribeTheLadder) {
   q.push(1, EventKind::kGenerate, 0);
   (void)q.pop();
   const EventQueueStats s = q.stats();
-  EXPECT_EQ(s.buckets, EventQueue::kDefaultBuckets);
+  EXPECT_EQ(s.buckets, EventQueue::kBuckets);
   EXPECT_EQ(s.bucket_width_ns, 64);
   EXPECT_EQ(s.max_bucket_events, 1u);
 }
@@ -239,8 +246,8 @@ SimTime pop_both(HeapEventQueue& heap, EventQueue& ladder) {
 
 // Randomized push/pop streams exercised against both queues in lockstep:
 // same-timestamp bursts, pushes landing exactly at last_popped_ (the active
-// epoch's drain cursor), far-future overflow traffic and enough volume to
-// force ring resizes.
+// epoch's drain cursor, so into the side heap) and far-future overflow
+// traffic.
 TEST(EventQueueParity, RandomizedStreamsPopIdentically) {
   for (const std::uint64_t seed : {1u, 7u, 42u}) {
     SCOPED_TRACE(seed);
@@ -275,7 +282,7 @@ TEST(EventQueueParity, RandomizedStreamsPopIdentically) {
     // The stream was heavy enough to exercise every ladder tier.
     const EventQueueStats s = ladder.stats();
     EXPECT_GT(s.overflow_pushes, 0u);
-    EXPECT_GT(s.resizes, 0u);
+    EXPECT_GT(s.side_pushes, 0u);
   }
 }
 

@@ -124,6 +124,50 @@ TEST(FaultReplay, DifferentScheduleSeedsDiffer) {
   EXPECT_FALSE(same_links);
 }
 
+// A link that dies under load while a packet is on its wire, then comes
+// back: once the SM routes over it again, the revived port transmits.  No
+// retry is left pending across the outage; the port relies on the grants
+// that reach it after revival.
+TEST(FaultReplay, RevivedPortTransmitsAgain) {
+  FatTreeFabric fabric{FatTreeParams(kM, kN)};
+  const Subnet subnet(fabric, "MLID");
+  SubnetManager sm(fabric, subnet);
+  const SwitchLabel leaf = SwitchLabel::from_index(fabric.params(), 1, 0);
+  const DeviceId dev = fabric.switch_device(leaf.switch_id(fabric.params()));
+  const auto port = static_cast<PortId>(fabric.params().half() + 1);
+  const PortRef peer = fabric.fabric().peer_of(dev, port);
+  constexpr SimTime kFailAt = 29'200;  // a packet left at 29 082 ns
+  constexpr SimTime kRecoverAt = 50'000;
+  FaultSchedule faults;
+  faults.fail_link(kFailAt, fabric.fabric(), dev, port);
+  faults.recover_link(kRecoverAt, dev, port, peer.device, peer.port);
+  SimConfig cfg = window(3);
+  cfg.trace_packets = 1'000'000;  // every packet
+  Simulation sim = Simulation::open_loop(
+      subnet, cfg, {TrafficKind::kUniform, 0.2, 0, 3}, 0.6, {&sm, faults});
+  const SimResult r = sim.run();
+  ASSERT_LT(sim.traces().size(), cfg.trace_packets);
+
+  const SimTime wire = cfg.packet_bytes * cfg.byte_time_ns;
+  bool on_wire_at_failure = false;
+  std::uint64_t sent_after_recovery = 0;
+  for (const PacketTraceRecord& rec : sim.traces()) {
+    for (const TraceEvent& ev : rec.events) {
+      if (ev.point != TracePoint::kForwarded || ev.dev != dev ||
+          ev.port != port) {
+        continue;
+      }
+      if (ev.time < kFailAt && ev.time + wire > kFailAt) {
+        on_wire_at_failure = true;
+      }
+      if (ev.time >= kRecoverAt) ++sent_after_recovery;
+    }
+  }
+  EXPECT_TRUE(on_wire_at_failure);
+  EXPECT_GT(sent_after_recovery, 0u);
+  EXPECT_EQ(r.drops_post_convergence, 0u);
+}
+
 TEST(FaultSchedule, RandomUplinkFailuresShape) {
   const FatTreeFabric fabric{FatTreeParams(kM, kN)};
   const FaultSchedule faults =
