@@ -127,6 +127,43 @@ void BM_EventQueueDenseEpoch(benchmark::State& state) {
 BENCHMARK(BM_EventQueueDenseEpoch<HeapEventQueue>);
 BENCHMARK(BM_EventQueueDenseEpoch<EventQueue>);
 
+// The FT(16,4) shape held over many epochs: about 200 new events per ns,
+// each iteration adding 64 ns of them and dispatching everything before its
+// end, while one pop in eight schedules a follow-up 20-256 ns ahead.  Past
+// the first iterations the ladder runs at the width this density settles
+// it on.
+template <typename Queue>
+void BM_EventQueueDenseStream(benchmark::State& state) {
+  constexpr SimTime kSpan = 64;
+  Xoshiro256 rng(17);
+  std::vector<std::pair<SimTime, DeviceId>> batch(200 * kSpan);
+  for (auto& [offset, dev] : batch) {
+    offset = static_cast<SimTime>(rng.below(kSpan));
+    dev = static_cast<DeviceId>(rng.below(8'192));
+  }
+  Queue q;
+  SimTime span = 0;
+  std::int64_t pops = 0;
+  for (auto _ : state) {
+    for (const auto& [offset, dev] : batch) {
+      q.push(span + offset, EventKind::kHeadArrive, dev);
+    }
+    span += kSpan;
+    while (const Event* next = q.peek()) {
+      if (next->time >= span) break;
+      const Event e = q.pop();
+      benchmark::DoNotOptimize(e);
+      if (++pops % 8 == 0) {
+        q.push(e.time + 20 + static_cast<SimTime>(e.dev % 237),
+               EventKind::kRouted, e.dev);
+      }
+    }
+  }
+  state.SetItemsProcessed(pops);
+}
+BENCHMARK(BM_EventQueueDenseStream<HeapEventQueue>);
+BENCHMARK(BM_EventQueueDenseStream<EventQueue>);
+
 void BM_TracePath(benchmark::State& state) {
   const FatTreeFabric fabric{FatTreeParams(8, 3)};
   const MlidRouting scheme(fabric.params());

@@ -10,15 +10,48 @@ FatTreeRouting::FatTreeRouting(const FatTreeParams& params, Lmc lmc)
       static_cast<std::uint64_t>(params.num_nodes()) * (1u << lmc) <
           kMaxLidSpace,
       "LID space exhausted");
-  switch_labels_.reserve(params_.num_switches());
-  for (SwitchId sw = 0; sw < params_.num_switches(); ++sw) {
-    switch_labels_.push_back(switch_from_id(params_, sw));
+  // Switches are numbered by (level, index in level), and an index is the
+  // mixed-radix value of the label's digits, so its top l digits -- the
+  // prefix a level-l switch fixes -- are index >> shift.
+  const int digit_bits =
+      ilog2_exact(static_cast<std::uint64_t>(params_.half()));
+  spans_.reserve(params_.num_switches());
+  for (int level = 0; level < params_.n(); ++level) {
+    const int shift = digit_bits * (params_.n() - 1 - level);
+    const std::uint32_t count = params_.switches_at_level(level);
+    for (std::uint32_t index = 0; index < count; ++index) {
+      if (level == 0) {
+        spans_.push_back({0, params_.num_nodes(), shift});
+      } else {
+        const int span_bits = shift + digit_bits;
+        spans_.push_back({(index >> shift) << span_bits,
+                          std::uint32_t{1} << span_bits, shift});
+      }
+    }
   }
 }
 
 PortId FatTreeRouting::formula_port(SwitchId sw, Lid lid) const {
-  MLID_ASSERT(sw < switch_labels_.size(), "switch id out of range");
-  return output_port(switch_labels_[sw], lid);
+  MLID_ASSERT(sw < spans_.size(), "switch id out of range");
+  MLID_ASSERT(lid != kInvalidLid && ((lid - 1) >> lmc_) < params_.num_nodes(),
+              "LID outside the assigned range");
+  const SwitchSpan& s = spans_[sw];
+  const Lid offset = lid - 1;
+  const std::uint32_t below = (offset >> lmc_) - s.first_pid;
+  if (below < s.span) {
+    // Case 1: descend towards the destination; at level l the child (or the
+    // node itself on a leaf switch) is selected by digit p_l.
+    return static_cast<PortId>((below >> s.shift) + kPortShift);
+  }
+  // Case 2: forward upward.  The up port consumes base-(m/2) digit
+  // (n-1-level) of (lid-1); because the path offset occupies the low
+  // LMC bits, the offset digits are consumed from the leaf level upwards,
+  // making the reached least common ancestor the digit-reversal of the
+  // offset -- a bijection that spreads subgroup members over distinct LCAs.
+  // Roots reach every node, so only levels >= 1 get here.
+  const auto half = static_cast<std::uint32_t>(params_.half());
+  return static_cast<PortId>(((offset >> s.shift) & (half - 1)) + half +
+                             kPortShift);
 }
 
 LidRange FatTreeRouting::lids_of(NodeId node) const {
@@ -39,36 +72,16 @@ Lid FatTreeRouting::max_lid() const {
 }
 
 PortId FatTreeRouting::output_port(const SwitchLabel& sw, Lid lid) const {
-  const NodeLabel dest = NodeLabel::from_pid(params_, node_of_lid(lid));
-  if (reachable_downward(params_, sw, dest)) {
-    // Case 1: descend towards the destination; at level l the child (or the
-    // node itself on a leaf switch) is selected by digit p_l.
-    return static_cast<PortId>(dest.digit(sw.level()) + kPortShift);
-  }
-  // Case 2: forward upward.  The up port consumes base-(m/2) digit
-  // (n-1-level) of (lid-1); because the path offset occupies the low
-  // LMC bits, the offset digits are consumed from the leaf level upwards,
-  // making the reached least common ancestor the digit-reversal of the
-  // offset -- a bijection that spreads subgroup members over distinct LCAs.
-  MLID_ASSERT(sw.level() >= 1, "roots reach everything downward");
-  const auto digit =
-      radix_digit(lid - 1, static_cast<std::uint32_t>(params_.half()),
-                  params_.n() - 1 - sw.level());
-  return static_cast<PortId>(static_cast<int>(digit) + params_.half() +
-                             kPortShift);
+  MLID_EXPECT(lid != kInvalidLid && lid <= max_lid(),
+              "LID outside the assigned range");
+  return formula_port(sw.switch_id(params_), lid);
 }
 
 Lft FatTreeRouting::build_lft(SwitchId sw) const {
   MLID_EXPECT(sw < params_.num_switches(), "switch id out of range");
-  const SwitchLabel label = switch_from_id(params_, sw);
-  Lft lft(max_lid());
-  for (NodeId node = 0; node < params_.num_nodes(); ++node) {
-    const LidRange range = lids_of(node);
-    for (std::uint32_t off = 0; off < range.count(); ++off) {
-      const Lid lid = range.at(off);
-      lft.set(lid, output_port(label, lid));
-    }
-  }
+  const Lid last = max_lid();
+  Lft lft(last);
+  for (Lid lid = 1; lid <= last; ++lid) lft.set(lid, formula_port(sw, lid));
   return lft;
 }
 

@@ -37,7 +37,7 @@ class FatTreeRouting : public RoutingScheme, public LftFormula {
   }
 
   /// The up/down decision for one (switch, DLID) pair; exposed so tests can
-  /// probe Equations (1) and (2) directly.
+  /// probe Equations (1) and (2) directly.  Same code as formula_port.
   [[nodiscard]] PortId output_port(const SwitchLabel& sw, Lid lid) const;
 
  protected:
@@ -45,9 +45,18 @@ class FatTreeRouting : public RoutingScheme, public LftFormula {
   Lmc lmc_;
 
  private:
-  /// Per-switch labels, precomputed so formula_port needs no id -> label
-  /// decomposition on the per-lookup path.
-  std::vector<SwitchLabel> switch_labels_;
+  /// What a lookup needs of one switch at level l.  The nodes below it are
+  /// the PIDs [first_pid, first_pid + span): PIDs enumerate node labels in
+  /// lexicographic order and the switch fixes their first l digits.  Every
+  /// digit after the first has radix m/2, a power of two, so `shift` =
+  /// log2((m/2)^(n-1-l)) extracts digit l of a PID (Equation (1)) or of
+  /// lid - 1 (Equation (2)).
+  struct SwitchSpan {
+    std::uint32_t first_pid = 0;
+    std::uint32_t span = 0;
+    int shift = 0;
+  };
+  std::vector<SwitchSpan> spans_;  ///< by SwitchId
 };
 
 /// Single-LID baseline: one LID per node (PID + 1); forwarding tables still

@@ -2,6 +2,9 @@
 // of paper Section 4.3, including the paper's step-by-step walkthrough.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "routing/fat_tree_routing.hpp"
 #include "routing/registry.hpp"
 
@@ -101,6 +104,51 @@ TEST(Forwarding, PortsAreAlwaysWithinTheSwitchRadix) {
       EXPECT_LE(port, p.m());
       if (label.level() == 0) {
         EXPECT_LE(port, num_down_ports(p, 0)) << "roots have no up ports";
+      }
+    }
+  }
+}
+
+/// Equations (1) and (2) as the paper states them, on labels: descend by
+/// the destination's digit p_l when it lies below the switch, else ascend
+/// by base-(m/2) digit n-1-l of lid - 1.
+PortId equation_port(const FatTreeParams& p, Lmc lmc, const SwitchLabel& sw,
+                     Lid lid) {
+  const NodeLabel dest = NodeLabel::from_pid(p, (lid - 1) >> lmc);
+  if (reachable_downward(p, sw, dest)) {
+    return static_cast<PortId>(dest.digit(sw.level()) + kPortShift);
+  }
+  const auto half = static_cast<std::uint32_t>(p.half());
+  const std::uint32_t up = radix_digit(lid - 1, half, p.n() - 1 - sw.level());
+  return static_cast<PortId>(up + half + kPortShift);
+}
+
+TEST(Forwarding, ClosedFormMatchesTheLabelEquationsOnEverySwitchAndLid) {
+  for (const FatTreeParams& p :
+       {FatTreeParams(4, 2), FatTreeParams(4, 3), FatTreeParams(8, 3),
+        FatTreeParams::kary(4, 3)}) {
+    std::vector<std::unique_ptr<FatTreeRouting>> schemes;
+    schemes.push_back(std::make_unique<SlidRouting>(p));
+    schemes.push_back(std::make_unique<MlidRouting>(p));
+    for (const Lmc lmc : {Lmc{1}, Lmc{2}}) {
+      if (lmc <= p.mlid_lmc()) {
+        schemes.push_back(std::make_unique<PartialMlidRouting>(p, lmc));
+      }
+    }
+    for (const auto& scheme : schemes) {
+      SCOPED_TRACE(::testing::Message()
+                   << scheme->name() << " lmc " << int(scheme->lmc()) << " FT("
+                   << p.m() << ", " << p.n() << ") p0 radix " << p.p0_radix());
+      for (SwitchId sw = 0; sw < p.num_switches(); ++sw) {
+        const SwitchLabel label = switch_from_id(p, sw);
+        const Lft lft = scheme->build_lft(sw);
+        for (Lid lid = 1; lid <= scheme->max_lid(); ++lid) {
+          const PortId want = equation_port(p, scheme->lmc(), label, lid);
+          ASSERT_EQ(scheme->formula_port(sw, lid), want)
+              << "switch " << sw << " lid " << lid;
+          ASSERT_EQ(scheme->output_port(label, lid), want);
+          ASSERT_EQ(lft.lookup(lid), want);
+        }
       }
     }
   }

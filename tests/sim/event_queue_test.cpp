@@ -208,17 +208,22 @@ TEST(LadderInternals, StatsDescribeTheLadder) {
 
 // --- property test: the ladder pops exactly what the heap oracle pops -------
 
+/// Device ids up to 2^32 send most epoch drains down the ladder's
+/// comparator sort; ids below 2^22 fit its integer drain key.
+constexpr std::uint64_t kWideIds = std::uint64_t{1} << 32;
+constexpr std::uint64_t kKeyIds = std::uint64_t{1} << 22;
+
 /// Feeds one event to both queues.  Kind, device, port, VL and corder are all
 /// drawn, from ranges narrow enough that every level of the content order --
 /// the packed (kind, dev, port, vl) key, then corder, then seq -- decides
 /// some ties.
 void push_both(HeapEventQueue& heap, EventQueue& ladder, SimTime t,
-               Xoshiro256& rng) {
+               Xoshiro256& rng, std::uint64_t id_bound = kWideIds) {
   const auto kind = static_cast<EventKind>(
       rng.below(static_cast<std::uint64_t>(EventKind::kCcRelease) + 1));
   // Mostly a handful of devices (content ties), sometimes a wide id.
   const auto dev = static_cast<DeviceId>(
-      rng.below(4) == 0 ? rng.below(std::uint64_t{1} << 32) : rng.below(4));
+      rng.below(4) == 0 ? rng.below(id_bound) : rng.below(4));
   const auto port = static_cast<PortId>(rng.below(4) == 0 ? rng.below(256)
                                                           : rng.below(3));
   const auto vl = static_cast<VlId>(rng.below(4));
@@ -229,8 +234,8 @@ void push_both(HeapEventQueue& heap, EventQueue& ladder, SimTime t,
 }
 
 /// Pops one event from each queue; every field must match.  Returns the
-/// popped time.
-SimTime pop_both(HeapEventQueue& heap, EventQueue& ladder) {
+/// heap's event.
+Event pop_both(HeapEventQueue& heap, EventQueue& ladder) {
   const Event a = heap.pop();
   const Event b = ladder.pop();
   EXPECT_EQ(a.time, b.time);
@@ -241,16 +246,20 @@ SimTime pop_both(HeapEventQueue& heap, EventQueue& ladder) {
   EXPECT_EQ(a.pkt, b.pkt);
   EXPECT_EQ(a.port, b.port);
   EXPECT_EQ(a.vl, b.vl);
-  return a.time;
+  return a;
 }
 
 // Randomized push/pop streams exercised against both queues in lockstep:
 // same-timestamp bursts, pushes landing exactly at last_popped_ (the active
 // epoch's drain cursor, so into the side heap) and far-future overflow
-// traffic.
+// traffic, with device ids that fit the drain key and ids that do not.
 TEST(EventQueueParity, RandomizedStreamsPopIdentically) {
-  for (const std::uint64_t seed : {1u, 7u, 42u}) {
-    SCOPED_TRACE(seed);
+  for (const auto& [seed, id_bound] :
+       {std::pair{1u, kWideIds}, std::pair{7u, kWideIds},
+        std::pair{42u, kWideIds}, std::pair{1u, kKeyIds},
+        std::pair{7u, kKeyIds}, std::pair{42u, kKeyIds}}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " ids < "
+                                      << id_bound);
     HeapEventQueue heap;
     EventQueue ladder;
     Xoshiro256 rng(seed);
@@ -271,9 +280,9 @@ TEST(EventQueueParity, RandomizedStreamsPopIdentically) {
           default:  // typical engine deltas
             t += static_cast<SimTime>(rng.below(1'000));
         }
-        push_both(heap, ladder, t, rng);
+        push_both(heap, ladder, t, rng, id_bound);
       } else {
-        now = pop_both(heap, ladder);
+        now = pop_both(heap, ladder).time;
       }
       if (::testing::Test::HasFailure()) FAIL() << "step " << step;
     }
@@ -301,7 +310,7 @@ TEST(EventQueueParity, DenseEpochWithPushesIntoTheDrainingEpoch) {
   }
   SimTime now = 0;
   while (!heap.empty()) {
-    now = pop_both(heap, ladder);
+    now = pop_both(heap, ladder).time;
     if (::testing::Test::HasFailure()) FAIL() << "at t=" << now;
     if (now < kEpochEnd && rng.below(8) == 0) {
       // Into the draining epoch, never before the cursor's time.
@@ -343,13 +352,116 @@ TEST(EventQueueParity, PushesBelowAPeekedEventPopIdentically) {
                 rng);
       ++pushed_below_peek;
     }
-    now = pop_both(heap, ladder);
+    now = pop_both(heap, ladder).time;
     if (::testing::Test::HasFailure()) FAIL() << "step " << step;
   }
   while (!heap.empty()) pop_both(heap, ladder);
   EXPECT_TRUE(ladder.empty());
   EXPECT_GT(pushed_below_peek, 1'000u);
   EXPECT_GT(ladder.stats().overflow_pushes, 0u);
+  // Sparse: the buckets never narrow.
+  EXPECT_EQ(ladder.stats().resizes, 0u);
+}
+
+// A density ramp: sparse, then more than 200 events per ns for 3 us, then
+// sparse again.  Each event is scheduled 20-256 ns ahead, as the engine's
+// handlers do, and the stream keeps pushing into the draining epoch and
+// below a peeked event throughout.  The buckets narrow as drains pass the
+// high-water mark, fast enough that no drain reaches twice that, and widen
+// again once the stream calms down; every pop matches the heap's.
+TEST(EventQueueParity, DensityRampNarrowsAndWidensTheBuckets) {
+  HeapEventQueue heap;
+  EventQueue ladder;
+  Xoshiro256 rng(31);
+  // Events generated per ns at generator time t: 1/8 until 2 us, ramping by
+  // one every 8 ns to 200 at 3.6 us, held to 6.6 us, ramping back down by
+  // 8.2 us, then 1/8 again until 16 us.
+  const auto rate = [&](SimTime t) -> std::uint64_t {
+    if (t < 2'000 || t >= 8'200) return rng.below(8) == 0 ? 1 : 0;
+    if (t < 3'600) return static_cast<std::uint64_t>(t - 2'000) / 8;
+    if (t < 6'600) return 200;
+    return static_cast<std::uint64_t>(8'200 - t) / 8;
+  };
+  SimTime now = 0;
+  SimTime min_width = ladder.stats().bucket_width_ns;
+  std::uint64_t pushed_below_peek = 0;
+  for (SimTime t = 0; t < 16'000; ++t) {
+    for (std::uint64_t i = rate(t); i > 0; --i) {
+      push_both(heap, ladder, t + 20 + static_cast<SimTime>(rng.below(237)),
+                rng, kKeyIds);
+    }
+    while (const Event* next = ladder.peek()) {
+      if (next->time > t) break;
+      if (next->time > now && rng.below(4) == 0) {
+        push_both(heap, ladder,
+                  now + static_cast<SimTime>(rng.below(
+                            static_cast<std::uint64_t>(next->time - now))),
+                  rng, kKeyIds);
+        ++pushed_below_peek;
+      }
+      now = pop_both(heap, ladder).time;
+      if (rng.below(8) == 0) {
+        // Into the draining epoch, whatever the width.
+        push_both(heap, ladder, now, rng, kKeyIds);
+      }
+      if (::testing::Test::HasFailure()) FAIL() << "at t=" << now;
+    }
+    min_width = std::min(min_width, ladder.stats().bucket_width_ns);
+  }
+  while (!heap.empty()) pop_both(heap, ladder);
+  EXPECT_TRUE(ladder.empty());
+  const EventQueueStats s = ladder.stats();
+  EXPECT_LT(min_width, 64) << "never narrowed";
+  EXPECT_GT(s.bucket_width_ns, min_width) << "never widened again";
+  EXPECT_GE(s.resizes, 2u);
+  EXPECT_LT(s.max_bucket_events, 2 * EventQueue::kHighWater);
+  EXPECT_GT(s.side_pushes, 0u);
+  EXPECT_GT(pushed_below_peek, 1'000u);
+}
+
+// Events tied on (time, kind, dev, port, vl) pop by corder, then seq, also
+// in epochs drained after a width change re-bucketed them.
+TEST(EventQueueParity, ContentTiesPopByCorderThenSeqAcrossAWidthChange) {
+  HeapEventQueue heap;
+  EventQueue ladder;
+  Xoshiro256 rng(37);
+  const auto push = [&](SimTime t, EventKind kind, DeviceId dev,
+                        PacketId pkt, std::uint64_t corder) {
+    heap.push(t, kind, dev, 1, 0, pkt, corder);
+    ladder.push(t, kind, dev, 1, 0, pkt, corder);
+  };
+  // 2 000 events in the epoch [0, 64) ns: draining it halves the width.
+  for (int i = 0; i < 2'000; ++i) {
+    push(static_cast<SimTime>(rng.below(64)), EventKind::kTailOut,
+         static_cast<DeviceId>(rng.below(1'000)), kInvalidPacket, 0);
+  }
+  // Then 300 groups of eight events tied on the whole content key, with
+  // corders drawn from {0, 1, 2}, so corder and seq both decide.
+  for (int g = 0; g < 300; ++g) {
+    const auto t = 64 + static_cast<SimTime>(rng.below(128));
+    const auto dev = static_cast<DeviceId>(rng.below(16));
+    for (int k = 0; k < 8; ++k) {
+      push(t, EventKind::kCreditArrive, dev, static_cast<PacketId>(8 * g + k),
+           rng.below(3));
+    }
+  }
+  Event prev = pop_both(heap, ladder);
+  std::uint64_t tied = 0;
+  while (!heap.empty()) {
+    const Event e = pop_both(heap, ladder);
+    if (::testing::Test::HasFailure()) FAIL() << "at t=" << e.time;
+    if (e.time == prev.time && detail::EventCompare::content_key(e) ==
+                                   detail::EventCompare::content_key(prev)) {
+      ++tied;
+      EXPECT_TRUE(prev.corder < e.corder ||
+                  (prev.corder == e.corder && prev.seq < e.seq));
+    }
+    prev = e;
+  }
+  EXPECT_TRUE(ladder.empty());
+  EXPECT_GT(tied, 1'000u);
+  EXPECT_GE(ladder.stats().resizes, 1u);
+  EXPECT_LT(ladder.stats().bucket_width_ns, 64);
 }
 
 }  // namespace

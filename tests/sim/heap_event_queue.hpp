@@ -25,6 +25,11 @@ class HeapEventQueue {
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
+  /// The next event, or nullptr when empty.
+  [[nodiscard]] const Event* peek() const {
+    return heap_.empty() ? nullptr : &heap_.top();
+  }
+
   Event pop() {
     Event e = heap_.top();
     heap_.pop();
