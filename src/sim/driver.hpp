@@ -76,7 +76,8 @@ class Driver {
   void drain_shard(std::uint32_t i, SimTime window_end);
 
   /// Queue stats summed over `shards` (control plane included); ladder
-  /// internals max-merge.
+  /// internals max-merge, except that the bucket count and width are the
+  /// finest shard's ring.
   [[nodiscard]] static EventQueueStats queue_stats(
       std::span<const Simulation> shards);
 

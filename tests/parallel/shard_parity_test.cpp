@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "harness/report.hpp"
 #include "obs/stream.hpp"
 #include "parallel/sharded.hpp"
+#include "routing/fat_tree_routing.hpp"
 #include "sim/engine.hpp"
 #include "../sim/heap_event_queue.hpp"
 
@@ -159,6 +161,27 @@ TEST(ShardParity, QueueStatsAccountForEveryEvent) {
   const EventQueueStats stats = sim.queue_stats();
   EXPECT_EQ(stats.events_scheduled, r.events_scheduled);
   EXPECT_EQ(stats.events_processed, r.events_processed);
+}
+
+// FT(16,4)'s shards narrow their buckets by different amounts; every ring
+// spans the same horizon, so the merged bucket count and width must still
+// describe one ring: the finest shard's.
+TEST(ShardParity, QueueStatsDescribeTheFinestShardsRing) {
+  const FatTreeFabric fabric{FatTreeParams(16, 4)};
+  const Subnet subnet(fabric, std::make_unique<PartialMlidRouting>(
+                                  fabric.params(), Lmc{2}));
+  SimConfig cfg;
+  cfg.warmup_ns = 500;
+  cfg.measure_ns = 2'000;
+  const TrafficConfig traffic{TrafficKind::kUniform, 0.2, 0, 9};
+  ShardedSimulation sim =
+      ShardedSimulation::open_loop(subnet, cfg, traffic, 0.3, {4, 1});
+  (void)sim.run();
+  const EventQueueStats stats = sim.queue_stats();
+  EXPECT_LT(stats.bucket_width_ns, SimTime{1} << EventQueue::kMaxWidthLog2);
+  EXPECT_EQ(stats.buckets * stats.bucket_width_ns,
+            static_cast<SimTime>(EventQueue::kBuckets)
+                << EventQueue::kMaxWidthLog2);
 }
 
 // Simulation::run is the one-shard case of the same driver: with every
